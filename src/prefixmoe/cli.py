@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,7 +28,6 @@ from .estimation import (
 from .experiments import (
     SweepSpec,
     child_seed,
-    default_workers,
     l2_norm_mc,
     run_sweep,
     witness_closed_form,
@@ -39,7 +37,6 @@ from .model import (
     Dataset,
     check_identifiability,
     gen_dataset,
-    measure_from_dict,
     model_from_dict,
     regression_fn,
 )
@@ -133,13 +130,15 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _prepare(args, command: str, output_names) -> tuple:
+def _prepare(args, output_names) -> tuple:
+    """Load the config and create the output directory, refusing existing
+    outputs before any work is done."""
     config_path = Path(args.config)
     cfg = _load_config(config_path)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    targets = [outdir / name for name in output_names] + [outdir / "run_manifest.json"]
-    return cfg, config_path, outdir, targets
+    _guard_outputs([outdir / name for name in output_names] + [outdir / "run_manifest.json"], args.force)
+    return cfg, config_path, outdir
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def _prepare(args, command: str, output_names) -> tuple:
 
 
 def cmd_equiv(args) -> int:
-    cfg, config_path, outdir, targets = _prepare(args, "equiv", ["equiv_report.json"])
+    cfg, config_path, outdir = _prepare(args, ["equiv_report.json"])
     seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "equiv config"))
     report = run_equivalence_trials(
         n_trials=int(_require(cfg, "trials", "equiv config")),
@@ -158,7 +157,6 @@ def cmd_equiv(args) -> int:
         heads=tuple(cfg.get("heads", (1, 2))),
         max_prompts=int(cfg.get("max_prompts", 4)),
     )
-    _guard_outputs(targets, args.force)
     (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
     _write_manifest(outdir, "equiv", config_path, args.seed, args.force)
     if not report.passed:
@@ -206,13 +204,13 @@ def cmd_sweep(args) -> int:
         return 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    loss_name = loss_for_setting(spec.setting, spec.voronoi_r)[0]
+    names = ["sweep_results.csv", "sweep_summary.json", f"plot_{loss_name}.dat", "plot_l2.dat"]
+    _guard_outputs([outdir / name for name in names + ["run_manifest.json"]], args.force)
     result = run_sweep(spec)
-    names = ["sweep_results.csv", "sweep_summary.json", f"plot_{result.loss_name}.dat", "plot_l2.dat"]
-    targets = [outdir / n for n in names] + [outdir / "run_manifest.json"]
-    _guard_outputs(targets, args.force)
     (outdir / "sweep_results.csv").write_text(result.csv_text())
     (outdir / "sweep_summary.json").write_text(result.json_text())
-    (outdir / f"plot_{result.loss_name}.dat").write_text(result.plot_text("loss"))
+    (outdir / f"plot_{loss_name}.dat").write_text(result.plot_text("loss"))
     (outdir / "plot_l2.dat").write_text(result.plot_text("l2"))
     _write_manifest(outdir, "sweep", config_path, args.seed, args.force)
     bad = [a for a in result.aggregates if a["failure_count"] > 0.5 * (a["fit_count"] + a["failure_count"])]
@@ -224,9 +222,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg, config_path, outdir, targets = _prepare(
-        args, "witness", ["witness_table.csv", "witness_summary.json"]
-    )
+    cfg, config_path, outdir = _prepare(args, ["witness_table.csv", "witness_summary.json"])
     truth_model = model_from_dict(_require(cfg, "model", "witness config"))
     if truth_model.measure.variant != "non_shared":
         raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
@@ -274,7 +270,6 @@ def cmd_witness(args) -> int:
         "ratios_strictly_decreasing": all(b < a for a, b in zip(ratios, ratios[1:])),
         "rows": rows,
     }
-    _guard_outputs(targets, args.force)
     (outdir / "witness_table.csv").write_text(table_text)
     (outdir / "witness_summary.json").write_text(_json_text(summary))
     _write_manifest(outdir, "witness", config_path, args.seed, args.force)
@@ -288,14 +283,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg, config_path, outdir, _ = _prepare(args, "gen", [])
+    cfg, config_path, outdir = _prepare(args, [])
     model = model_from_dict(_require(cfg, "model", "gen config"))
     n = int(_require(cfg, "n", "gen config"))
     seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "gen config"))
     name = cfg.get("name", "dataset")
     csv_path = outdir / f"{name}.csv"
-    targets = [csv_path, Dataset.meta_path(csv_path), outdir / "run_manifest.json"]
-    _guard_outputs(targets, args.force)
+    _guard_outputs([csv_path, Dataset.meta_path(csv_path)], args.force)
     if model.measure.n_atoms >= 1:
         ident = check_identifiability(model.measure, model.proj)
         if not ident.passed:
@@ -311,7 +305,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, config_path, outdir, targets = _prepare(args, "fit", ["fit_result.json"])
+    cfg, config_path, outdir = _prepare(args, ["fit_result.json"])
     dataset_path = _resolve(_require(cfg, "dataset", "fit config"), outdir)
     if not dataset_path.is_file():
         raise ConfigurationError(f"dataset file not found: {dataset_path}")
@@ -354,7 +348,6 @@ def cmd_fit(args) -> int:
                     result.measure, truth_model.bank, truth_model.proj, dataset
                 ),
             }
-    _guard_outputs(targets, args.force)
     (outdir / "fit_result.json").write_text(_json_text(payload))
     _write_manifest(outdir, "fit", config_path, args.seed, args.force)
     return 1 if result.failed else 0

@@ -10,29 +10,27 @@ or a perturbation of a reference measure; the latter is the default for
 rate experiments because the theory speaks about the global least-squares
 minimizer, which restart heuristics cannot certify.
 
-Flat parameter layout (``pack_parameters``): atoms in order, each as
-(log-weight, then prompt coordinates - key prompt then value prompt for
-untied atoms); for the latent variant the two shared weight matrices
-follow, row-major, w1 before w2.
+Flat parameter layout (``pack_parameters``): atoms in order, each as its
+log-weight followed by the variant's ``atom_fields`` (key prompt then value
+prompt for untied atoms, the prompt for tied and latent atoms); after all
+atoms, the variant's ``shared_fields`` (w1 then w2 for the latent variant),
+row-major. The same code handles every variant: it reads only the
+measure's declared fields and its ``prompt_map``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 from .model import (
-    ACTIVATIONS,
     Dataset,
-    LinearSharedMeasure,
     MEASURE_VARIANTS,
-    NeuralSharedMeasure,
-    NonSharedMeasure,
     PretrainedBank,
     ProjectionPair,
     _predict,
@@ -181,36 +179,34 @@ class FitResult:
 
 def pack_parameters(measure) -> np.ndarray:
     """Flatten the free parameters of a measure; see module docstring."""
-    if isinstance(measure, NonSharedMeasure):
-        return np.column_stack([measure.log_weights, measure.p_key, measure.p_value]).ravel()
-    if isinstance(measure, LinearSharedMeasure):
-        return np.column_stack([measure.log_weights, measure.prompts]).ravel()
-    if isinstance(measure, NeuralSharedMeasure):
-        atoms = np.column_stack([measure.log_weights, measure.prompts]).ravel()
-        return np.concatenate([atoms, measure.w1.ravel(), measure.w2.ravel()])
-    raise UsageError(f"cannot pack {type(measure).__name__}")
+    atoms = [measure.log_weights, *(getattr(measure, name) for name in measure.atom_fields)]
+    shared = [getattr(measure, name).ravel() for name in measure.shared_fields]
+    return np.concatenate([np.column_stack(atoms).ravel(), *shared])
+
+
+def _split(theta: np.ndarray, template):
+    """Views of a flat vector as (log-weights, declared arrays) in the
+    template's shapes, inverting ``pack_parameters``."""
+    n = template.n_atoms
+    widths = [getattr(template, name).shape[1] for name in template.atom_fields]
+    atoms = theta[: n * (1 + sum(widths))].reshape(n, 1 + sum(widths))
+    arrays, start = [], 1
+    for width in widths:
+        arrays.append(atoms[:, start : start + width])
+        start += width
+    offset = atoms.size
+    for name in template.shared_fields:
+        shape = getattr(template, name).shape
+        arrays.append(theta[offset : offset + shape[0] * shape[1]].reshape(shape))
+        offset += shape[0] * shape[1]
+    return atoms[:, 0], arrays
 
 
 def unpack_parameters(theta: np.ndarray, template):
     """Rebuild a measure of the template's variant and shapes from a flat vector."""
-    theta = np.asarray(theta, dtype=float)
-    n = template.n_atoms
-    if isinstance(template, NonSharedMeasure):
-        d = template.dim
-        atoms = theta.reshape(n, 1 + 2 * d)
-        return NonSharedMeasure(atoms[:, 0], atoms[:, 1 : 1 + d], atoms[:, 1 + d :])
-    if isinstance(template, LinearSharedMeasure):
-        d = template.dim
-        atoms = theta.reshape(n, 1 + d)
-        return LinearSharedMeasure(atoms[:, 0], atoms[:, 1:])
-    if isinstance(template, NeuralSharedMeasure):
-        d, ld = template.dim, template.latent_dim
-        n_atom_params = n * (1 + ld)
-        atoms = theta[:n_atom_params].reshape(n, 1 + ld)
-        w1 = theta[n_atom_params : n_atom_params + d * ld].reshape(d, ld)
-        w2 = theta[n_atom_params + d * ld :].reshape(d, ld)
-        return NeuralSharedMeasure(w1, w2, atoms[:, 0], atoms[:, 1:], template.act1, template.act2)
-    raise UsageError(f"cannot unpack {type(template).__name__}")
+    log_weights, arrays = _split(np.asarray(theta, dtype=float), template)
+    names = template.atom_fields + template.shared_fields
+    return replace(template, log_weights=log_weights, **dict(zip(names, arrays)))
 
 
 # --------------------------------------------------------------------------
@@ -238,33 +234,10 @@ class _Problem:
 
     def residual_and_jacobian(self, theta: np.ndarray):
         """Residual ``f(x_i) - y_i`` and its Jacobian, one row per sample."""
-        t = self.template
+        b, arrays = _split(theta, self.template)
+        kappa, values, vjp = self.template.prompt_map(*arrays)
+        cvals = values @ self.c
         n_bank = self.pre_logits.shape[1]
-        n = t.n_atoms
-        if isinstance(t, NeuralSharedMeasure):
-            d, ld = t.dim, t.latent_dim
-            n_atom_params = n * (1 + ld)
-            atoms = theta[:n_atom_params].reshape(n, 1 + ld)
-            b, p = atoms[:, 0], atoms[:, 1:]
-            w1 = theta[n_atom_params : n_atom_params + d * ld].reshape(d, ld)
-            w2 = theta[n_atom_params + d * ld :].reshape(d, ld)
-            act1, act2 = ACTIVATIONS[t.act1], ACTIVATIONS[t.act2]
-            z1 = p @ w1.T
-            z2 = p @ w2.T
-            kappa = act1.fn(z1)
-            cvals = act2.fn(z2) @ self.c
-        elif isinstance(t, NonSharedMeasure):
-            d = t.dim
-            atoms = theta.reshape(n, 1 + 2 * d)
-            b = atoms[:, 0]
-            kappa = atoms[:, 1 : 1 + d]
-            cvals = atoms[:, 1 + d :] @ self.c
-        else:
-            d = t.dim
-            atoms = theta.reshape(n, 1 + d)
-            b = atoms[:, 0]
-            kappa = atoms[:, 1:]
-            cvals = kappa @ self.c
 
         logits = np.hstack([self.pre_logits, self.xb @ kappa.T + b])
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -277,19 +250,11 @@ class _Problem:
         d_bias = gates * (cvals[None, :] - f[:, None])
         d_key = d_bias[:, :, None] * self.xb[:, None, :]
         d_value = gates[:, :, None] * self.c[None, None, :]
+        atom_cols, shared_cols = vjp(d_key, d_value)
         rows = len(f)
-        if isinstance(t, NonSharedMeasure):
-            jac = np.concatenate([d_bias[:, :, None], d_key, d_value], axis=2).reshape(rows, -1)
-        elif isinstance(t, LinearSharedMeasure):
-            jac = np.concatenate([d_bias[:, :, None], d_key + d_value], axis=2).reshape(rows, -1)
-        else:
-            d_key = d_key * act1.deriv(z1)[None]
-            d_value = d_value * act2.deriv(z2)[None]
-            d_p = d_key @ w1 + d_value @ w2
-            d_w1 = np.einsum("ika,kl->ial", d_key, p).reshape(rows, -1)
-            d_w2 = np.einsum("ika,kl->ial", d_value, p).reshape(rows, -1)
-            atom_jac = np.concatenate([d_bias[:, :, None], d_p], axis=2).reshape(rows, -1)
-            jac = np.hstack([atom_jac, d_w1, d_w2])
+        jac = np.concatenate([d_bias[:, :, None], *atom_cols], axis=2).reshape(rows, -1)
+        if shared_cols:
+            jac = np.hstack([jac, *shared_cols])
         return f - self.y, jac
 
 
@@ -343,41 +308,26 @@ def _split_counts(budget: int, n_ref: int) -> np.ndarray:
 def _perturbed_init(reference, budget: int, scale: float, rng):
     idx, counts = _split_counts(budget, reference.n_atoms)
     log_w = reference.log_weights[idx] - np.log(counts[idx]) + scale * rng.standard_normal(budget)
-    if isinstance(reference, NonSharedMeasure):
-        pk = reference.p_key[idx] + scale * rng.standard_normal((budget, reference.dim))
-        pv = reference.p_value[idx] + scale * rng.standard_normal((budget, reference.dim))
-        return NonSharedMeasure(log_w, pk, pv)
-    if isinstance(reference, LinearSharedMeasure):
-        p = reference.prompts[idx] + scale * rng.standard_normal((budget, reference.dim))
-        return LinearSharedMeasure(log_w, p)
-    p = reference.prompts[idx] + scale * rng.standard_normal((budget, reference.latent_dim))
-    w1 = reference.w1 + scale * rng.standard_normal(reference.w1.shape)
-    w2 = reference.w2 + scale * rng.standard_normal(reference.w2.shape)
-    return NeuralSharedMeasure(w1, w2, log_w, p, reference.act1, reference.act2)
+    names = reference.atom_fields + reference.shared_fields
+    starts = [getattr(reference, name)[idx] for name in reference.atom_fields]
+    starts += [getattr(reference, name) for name in reference.shared_fields]
+    arrays = [start + scale * rng.standard_normal(start.shape) for start in starts]
+    return replace(reference, log_weights=log_w, **dict(zip(names, arrays)))
 
 
 def _random_init(config: FitConfig, dim: int, rng):
+    cls = MEASURE_VARIANTS[config.setting]
+    if cls.shared_fields and config.latent_dim is None:
+        raise ConfigurationError("multistart for the latent variant needs latent_dim")
+    # atoms live in the latent space of the shared maps when there are any
+    width = config.latent_dim if cls.shared_fields else dim
     budget = config.atom_budget
     log_w = rng.uniform(-1.0, 1.0, size=budget)
-    if config.setting == "non_shared":
-        return NonSharedMeasure(
-            log_w,
-            rng.uniform(-2.0, 2.0, size=(budget, dim)),
-            rng.uniform(-2.0, 2.0, size=(budget, dim)),
-        )
-    if config.setting == "linear_shared":
-        return LinearSharedMeasure(log_w, rng.uniform(-2.0, 2.0, size=(budget, dim)))
-    if config.latent_dim is None:
-        raise ConfigurationError("multistart for the latent variant needs latent_dim")
-    ld = config.latent_dim
-    return NeuralSharedMeasure(
-        rng.standard_normal((dim, ld)) / math.sqrt(ld),
-        rng.standard_normal((dim, ld)) / math.sqrt(ld),
-        log_w,
-        rng.uniform(-2.0, 2.0, size=(budget, ld)),
-        config.activations[0],
-        config.activations[1],
-    )
+    arrays = {name: rng.standard_normal((dim, width)) / math.sqrt(width) for name in cls.shared_fields}
+    arrays.update((name, rng.uniform(-2.0, 2.0, size=(budget, width))) for name in cls.atom_fields)
+    # the remaining fields (the latent variant's act1, act2) come from the config
+    rest = [f.name for f in fields(cls) if f.name not in arrays and f.name != "log_weights"]
+    return cls(log_weights=log_w, **arrays, **dict(zip(rest, config.activations)))
 
 
 def _build_inits(config: FitConfig, dim: int, rng):
@@ -447,16 +397,13 @@ def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, config: Fi
     ``config.seed``. Restarts that hit a non-finite objective are aborted
     and recorded; if every restart aborts the result is marked ``failed``.
     """
-    if config.setting == "neural_shared":
-        reference = config.init.reference
-        act2 = reference.act2 if reference is not None else config.activations[1]
-        if not ACTIVATIONS[act2].has_curvature:
-            raise ConfigurationError(
-                f"value-side activation {act2!r} has identically zero second "
-                "derivative; estimation requires a curved activation such as tanh"
-            )
     rng = np.random.default_rng(int(config.seed))
     inits, warnings_out = _build_inits(config, proj.dim, rng)
+    if not inits[0].satisfies_curvature:
+        raise ConfigurationError(
+            "the value-side activation has identically zero second derivative; "
+            "estimation requires a curved activation such as tanh"
+        )
 
     problem = _Problem(inits[0], bank, proj, dataset)
     best = None

@@ -10,6 +10,10 @@ of a value prompt. Three atom parameterizations are supported:
 * ``neural_shared`` - one latent prompt pushed through two shared one-layer
   maps (activation applied element-wise).
 
+The three differ only in how the key and value prompts are produced. Each
+declares its arrays and its prompt map (see ``_Measure``), and every
+consumer reads that declaration instead of branching on the variant.
+
 Log-weights ``b`` enter the gate logits additively, so atom weights are
 ``exp(b)``. Compact parameter boxes are an optimization-time constraint
 (see ``estimation``); construction only checks shapes and finiteness.
@@ -22,7 +26,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -64,7 +68,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Activation:
-    """Element-wise activation with first and second derivatives.
+    """Element-wise activation with its first derivative.
 
     ``has_curvature`` marks activations whose second derivative is not
     identically zero; the estimation paths for the latent variant require
@@ -74,7 +78,6 @@ class Activation:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    second_deriv: Callable[[np.ndarray], np.ndarray]
     has_curvature: bool
 
 
@@ -87,14 +90,12 @@ ACTIVATIONS = {
         "tanh",
         np.tanh,
         lambda x: 1.0 - np.tanh(x) ** 2,
-        lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2),
         True,
     ),
     "sigmoid": Activation(
         "sigmoid",
         _sigmoid,
         lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)),
-        lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)) * (1.0 - 2.0 * _sigmoid(x)),
         True,
     ),
     # test-only for estimation purposes: zero curvature on the value side
@@ -102,7 +103,6 @@ ACTIVATIONS = {
         "identity",
         lambda x: np.asarray(x, dtype=float),
         lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         False,
     ),
 }
@@ -214,27 +214,40 @@ class ProjectionPair:
 # mixing measures
 
 
-@dataclass(frozen=True)
-class NonSharedMeasure:
-    """Atoms (log-weight, key prompt, value prompt) with untied prompts."""
+class _Measure:
+    """What the three measure variants share.
 
-    variant: ClassVar[str] = "non_shared"
+    A variant is a frozen dataclass with ``log_weights`` plus the arrays it
+    declares: ``atom_fields``, one row per atom, and ``shared_fields``,
+    common to all atoms, each in pack order. Its ``prompt_map(*arrays)``
+    takes those arrays (atom fields, then shared fields) to
+    ``(key prompts, value prompts, vjp)``; ``vjp(d_key, d_value)`` turns
+    per-sample derivatives with respect to the key and value prompts, each
+    (samples, atoms, dim), into the Jacobian columns of the variant's own
+    arrays, as (per-atom blocks, per-shared-array blocks). Packing,
+    initialization, serialization, prediction and the residual Jacobian
+    read only this declaration.
+    """
 
-    log_weights: np.ndarray
-    p_key: np.ndarray
-    p_value: np.ndarray
+    atom_fields: ClassVar[tuple]
+    shared_fields: ClassVar[tuple] = ()
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float).reshape(-1)
-        pk = np.asarray(self.p_key, dtype=float)
-        pv = np.asarray(self.p_value, dtype=float)
-        if pk.ndim != 2 or pv.ndim != 2:
-            raise ConfigurationError("prompts must be 2-D (n_atoms, dim)")
-        if pk.shape != pv.shape or pk.shape[0] != lw.shape[0]:
-            raise ConfigurationError("atom arrays disagree in shape")
         object.__setattr__(self, "log_weights", frozen_array(lw, lw.shape, "log_weights"))
-        object.__setattr__(self, "p_key", frozen_array(pk, pk.shape, "p_key"))
-        object.__setattr__(self, "p_value", frozen_array(pv, pv.shape, "p_value"))
+        for names in (self.atom_fields, self.shared_fields):
+            arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
+            if any(a.ndim != 2 or a.shape != arrays[0].shape for a in arrays):
+                raise ConfigurationError(f"{', '.join(names)} must be 2-D with equal shapes")
+            for name, arr in zip(names, arrays):
+                object.__setattr__(self, name, frozen_array(arr, arr.shape, name))
+        if getattr(self, self.atom_fields[0]).shape[0] != lw.shape[0]:
+            raise ConfigurationError("atom arrays disagree in shape")
+
+    def _key_value(self):
+        names = self.atom_fields + self.shared_fields
+        key, value, _ = self.prompt_map(*(getattr(self, name) for name in names))
+        return key, value
 
     @property
     def n_atoms(self) -> int:
@@ -242,17 +255,33 @@ class NonSharedMeasure:
 
     @property
     def dim(self) -> int:
-        return self.p_key.shape[1]
+        """Width of the key and value prompts."""
+        return self._key_value()[0].shape[1]
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def key_prompts(self) -> np.ndarray:
-        return self.p_key
+    @property
+    def satisfies_curvature(self) -> bool:
+        """False when the value-side map has identically zero second
+        derivative; estimation refuses such measures."""
+        return True
 
-    def value_prompts(self) -> np.ndarray:
-        return self.p_value
+
+@dataclass(frozen=True)
+class NonSharedMeasure(_Measure):
+    """Atoms (log-weight, key prompt, value prompt) with untied prompts."""
+
+    variant: ClassVar[str] = "non_shared"
+    atom_fields: ClassVar[tuple] = ("p_key", "p_value")
+
+    log_weights: np.ndarray
+    p_key: np.ndarray
+    p_value: np.ndarray
+
+    def prompt_map(self, p_key, p_value):
+        return p_key, p_value, lambda d_key, d_value: ([d_key, d_value], [])
 
     def atom_embeddings(self) -> np.ndarray:
         """Concatenated (key, value) prompt per atom, used for cell assignment."""
@@ -260,41 +289,17 @@ class NonSharedMeasure:
 
 
 @dataclass(frozen=True)
-class LinearSharedMeasure:
+class LinearSharedMeasure(_Measure):
     """Atoms (log-weight, prompt) with the prompt tied across key and value."""
 
     variant: ClassVar[str] = "linear_shared"
+    atom_fields: ClassVar[tuple] = ("prompts",)
 
     log_weights: np.ndarray
     prompts: np.ndarray
 
-    def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=float).reshape(-1)
-        p = np.asarray(self.prompts, dtype=float)
-        if p.ndim != 2:
-            raise ConfigurationError("prompts must be 2-D (n_atoms, dim)")
-        if p.shape[0] != lw.shape[0]:
-            raise ConfigurationError("atom arrays disagree in shape")
-        object.__setattr__(self, "log_weights", frozen_array(lw, lw.shape, "log_weights"))
-        object.__setattr__(self, "prompts", frozen_array(p, p.shape, "prompts"))
-
-    @property
-    def n_atoms(self) -> int:
-        return self.log_weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.prompts.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    def key_prompts(self) -> np.ndarray:
-        return self.prompts
-
-    def value_prompts(self) -> np.ndarray:
-        return self.prompts
+    def prompt_map(self, prompts):
+        return prompts, prompts, lambda d_key, d_value: ([d_key + d_value], [])
 
     def atom_embeddings(self) -> np.ndarray:
         return self.prompts
@@ -305,7 +310,7 @@ class LinearSharedMeasure:
 
 
 @dataclass(frozen=True)
-class NeuralSharedMeasure:
+class NeuralSharedMeasure(_Measure):
     """Atoms (log-weight, latent prompt) plus two shared one-layer maps.
 
     Key prompts are ``act1(w1 @ p)`` and value prompts ``act2(w2 @ p)``;
@@ -314,6 +319,8 @@ class NeuralSharedMeasure:
     """
 
     variant: ClassVar[str] = "neural_shared"
+    atom_fields: ClassVar[tuple] = ("prompts",)
+    shared_fields: ClassVar[tuple] = ("w1", "w2")
 
     w1: np.ndarray
     w2: np.ndarray
@@ -323,51 +330,31 @@ class NeuralSharedMeasure:
     act2: str = "tanh"
 
     def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=float)
-        w2 = np.asarray(self.w2, dtype=float)
-        if w1.ndim != 2 or w2.shape != w1.shape:
-            raise ConfigurationError("w1 and w2 must be 2-D with equal shapes")
-        lw = np.asarray(self.log_weights, dtype=float).reshape(-1)
-        p = np.asarray(self.prompts, dtype=float)
-        if p.ndim != 2 or p.shape[1] != w1.shape[1]:
+        super().__post_init__()
+        if self.prompts.shape[1] != self.w1.shape[1]:
             raise ConfigurationError("prompts must be (n_atoms, latent_dim)")
-        if p.shape[0] != lw.shape[0]:
-            raise ConfigurationError("atom arrays disagree in shape")
         for name in (self.act1, self.act2):
             if name not in ACTIVATIONS:
                 raise ConfigurationError(f"unknown activation {name!r}")
-        object.__setattr__(self, "w1", frozen_array(w1, w1.shape, "w1"))
-        object.__setattr__(self, "w2", frozen_array(w2, w2.shape, "w2"))
-        object.__setattr__(self, "log_weights", frozen_array(lw, lw.shape, "log_weights"))
-        object.__setattr__(self, "prompts", frozen_array(p, p.shape, "prompts"))
-
-    @property
-    def n_atoms(self) -> int:
-        return self.log_weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
 
     @property
     def satisfies_curvature(self) -> bool:
-        """True when the value-side activation has nonvanishing second
-        derivative; estimation refuses measures where this fails."""
         return ACTIVATIONS[self.act2].has_curvature
 
-    def key_prompts(self) -> np.ndarray:
-        return ACTIVATIONS[self.act1].fn(self.prompts @ self.w1.T)
+    def prompt_map(self, prompts, w1, w2):
+        act1, act2 = ACTIVATIONS[self.act1], ACTIVATIONS[self.act2]
+        z1 = prompts @ w1.T
+        z2 = prompts @ w2.T
 
-    def value_prompts(self) -> np.ndarray:
-        return ACTIVATIONS[self.act2].fn(self.prompts @ self.w2.T)
+        def vjp(d_key, d_value):
+            d_key = d_key * act1.deriv(z1)[None]
+            d_value = d_value * act2.deriv(z2)[None]
+            rows = d_key.shape[0]
+            d_w1 = np.einsum("ika,kl->ial", d_key, prompts).reshape(rows, -1)
+            d_w2 = np.einsum("ika,kl->ial", d_value, prompts).reshape(rows, -1)
+            return [d_key @ w1 + d_value @ w2], [d_w1, d_w2]
+
+        return act1.fn(z1), act2.fn(z2), vjp
 
     def atom_embeddings(self) -> np.ndarray:
         return np.hstack([self.prompts @ self.w1.T, self.prompts @ self.w2.T])
@@ -381,12 +368,12 @@ MEASURE_VARIANTS = {
 
 def gate_directions(measure, proj: ProjectionPair) -> np.ndarray:
     """Projected key prompts, one gate direction per atom, shape (n_atoms, dim)."""
-    return measure.key_prompts() @ proj.b.T
+    return measure._key_value()[0] @ proj.b.T
 
 
 def expert_scalars(measure, proj: ProjectionPair) -> np.ndarray:
     """Projected value prompts: the constant expert output per atom."""
-    return measure.value_prompts() @ proj.c
+    return measure._key_value()[1] @ proj.c
 
 
 # --------------------------------------------------------------------------
@@ -634,18 +621,11 @@ def check_identifiability(measure, proj: ProjectionPair, tol: float = 1e-6) -> I
 
 
 def measure_to_dict(measure) -> dict:
+    arrays = measure.atom_fields + measure.shared_fields
     data = {"variant": measure.variant, "log_weights": measure.log_weights.tolist()}
-    if isinstance(measure, NonSharedMeasure):
-        data["p_key"] = measure.p_key.tolist()
-        data["p_value"] = measure.p_value.tolist()
-    elif isinstance(measure, LinearSharedMeasure):
-        data["prompts"] = measure.prompts.tolist()
-    else:
-        data["w1"] = measure.w1.tolist()
-        data["w2"] = measure.w2.tolist()
-        data["prompts"] = measure.prompts.tolist()
-        data["act1"] = measure.act1
-        data["act2"] = measure.act2
+    for f in fields(measure):
+        value = getattr(measure, f.name)
+        data.setdefault(f.name, value.tolist() if f.name in arrays else value)
     return data
 
 
@@ -653,18 +633,9 @@ def measure_from_dict(data: dict):
     variant = data.get("variant")
     if variant not in MEASURE_VARIANTS:
         raise ConfigurationError(f"unknown measure variant {variant!r}")
-    if variant == "non_shared":
-        return NonSharedMeasure(data["log_weights"], data["p_key"], data["p_value"])
-    if variant == "linear_shared":
-        return LinearSharedMeasure(data["log_weights"], data["prompts"])
-    return NeuralSharedMeasure(
-        data["w1"],
-        data["w2"],
-        data["log_weights"],
-        data["prompts"],
-        data.get("act1", "tanh"),
-        data.get("act2", "tanh"),
-    )
+    cls = MEASURE_VARIANTS[variant]
+    # a missing required field raises KeyError, which model_from_dict reports
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
 
 
 def bank_to_dict(bank: PretrainedBank) -> dict:

@@ -172,6 +172,36 @@ def test_outputs_are_not_overwritten_without_force(tmp_path):
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out), "--force"]) == 0
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the output guard should have refused before any work")
+
+
+def test_rerun_into_same_directory_refuses_before_work(tmp_path, monkeypatch):
+    gen_cfg = write_config(
+        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 40, "seed": 5}
+    )
+    fit_cfg = write_config(
+        tmp_path,
+        "fit.json",
+        {
+            "version": 1,
+            "dataset": "dataset.csv",
+            "setting": "linear_shared",
+            "seed": 7,
+            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.0}},
+        },
+    )
+    sweep_cfg = write_config(tmp_path, "sweep.json", sweep_config())
+    run, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(run)]) == 0
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(run), "--force"]) == 0
+    assert main(["sweep", "--config", str(sweep_cfg), "--output-dir", str(sweep_out)]) == 0
+    monkeypatch.setattr("prefixmoe.cli.fit", _never_called)
+    monkeypatch.setattr("prefixmoe.cli.run_sweep", _never_called)
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(run)]) == 2
+    assert main(["sweep", "--config", str(sweep_cfg), "--output-dir", str(sweep_out)]) == 2
+
+
 def test_gen_is_byte_identical_across_runs(tmp_path):
     gen_cfg = write_config(
         tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 30, "seed": 5}

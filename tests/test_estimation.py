@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixmoe import (
     ConfigurationError,
@@ -22,10 +24,16 @@ from prefixmoe import (
     gen_dataset,
     gradient,
     loss_d2,
+    measure_to_dict,
     objective,
     pack_parameters,
     unpack_parameters,
 )
+from prefixmoe.estimation import _perturbed_init
+
+VARIANTS = ("non_shared", "linear_shared", "neural_shared")
+# the same examples in every process, and no replay of stored failures
+PROPERTY = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 
 
 def make_parts(d=2, n_experts=2, seed=101):
@@ -44,6 +52,20 @@ def random_measure(variant, rng, d=2, n_atoms=2, latent=2):
     return NeuralSharedMeasure(
         rng.normal(size=(d, latent)), rng.normal(size=(d, latent)), lw, rng.normal(size=(n_atoms, latent))
     )
+
+
+@st.composite
+def perturbed_starts(draw, variant=None):
+    """A fit's perturbed starting point: a random reference measure of the
+    variant, cycled to an atom budget at or above its atom count."""
+    variant = variant or draw(st.sampled_from(VARIANTS))
+    n_atoms = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 4))
+    latent = draw(st.integers(1, 3))
+    budget = draw(st.integers(n_atoms, n_atoms + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reference = random_measure(variant, rng, d=dim, n_atoms=n_atoms, latent=latent)
+    return _perturbed_init(reference, budget, 0.1, rng), rng
 
 
 # -----------------------------------------------------------------------
@@ -99,14 +121,14 @@ def central_difference(measure, bank, proj, ds, step=1e-5):
     return out
 
 
-@pytest.mark.parametrize("variant", ["non_shared", "linear_shared", "neural_shared"])
-def test_gradient_matches_central_differences(variant):
-    d = 3
-    bank, proj = make_parts(d=d, seed=5)
-    rng = np.random.default_rng(2024)
-    measure = random_measure(variant, rng, d=d, n_atoms=2, latent=2)
-    data_model = RegressionModel(bank, proj, random_measure(variant, rng, d=d, n_atoms=2, latent=2), 0.3)
-    ds = gen_dataset(data_model, 20, seed=4)
+@pytest.mark.parametrize("variant", VARIANTS)
+@PROPERTY
+@given(data=st.data())
+def test_gradient_matches_central_differences(variant, data):
+    measure, rng = data.draw(perturbed_starts(variant))
+    bank, proj = make_parts(d=measure.dim, seed=5)
+    truth = random_measure(variant, rng, d=measure.dim, n_atoms=2, latent=2)
+    ds = gen_dataset(RegressionModel(bank, proj, truth, 0.3), 20, seed=4)
     analytic = gradient(measure, bank, proj, ds)
     numeric = central_difference(measure, bank, proj, ds)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
@@ -135,12 +157,16 @@ def test_atom_permutation_permutes_gradient_blocks():
     np.testing.assert_allclose(g_shuffled, g[perm], atol=1e-12)
 
 
-def test_pack_unpack_round_trip():
-    rng = np.random.default_rng(44)
-    for variant in ("non_shared", "linear_shared", "neural_shared"):
-        measure = random_measure(variant, rng, d=3, n_atoms=2, latent=2)
-        clone = unpack_parameters(pack_parameters(measure), measure)
-        np.testing.assert_array_equal(pack_parameters(clone), pack_parameters(measure))
+@settings(PROPERTY, max_examples=60)
+@given(start=perturbed_starts())
+def test_pack_unpack_round_trip(start):
+    measure, rng = start
+    theta = pack_parameters(measure)
+    clone = unpack_parameters(theta, measure)
+    assert measure_to_dict(clone) == measure_to_dict(measure)
+    np.testing.assert_array_equal(pack_parameters(clone), theta)
+    other = rng.normal(size=theta.size)
+    np.testing.assert_array_equal(pack_parameters(unpack_parameters(other, measure)), other)
 
 
 # -----------------------------------------------------------------------
