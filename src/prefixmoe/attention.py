@@ -175,16 +175,10 @@ def msa_forward(bundle: AttentionBundle) -> np.ndarray:
 def prefix_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     """Attention with prompt stacks prepended to keys and values only.
 
-    The output keeps one row per input token; an empty prompt set reduces
-    to ``msa_forward`` on the same arithmetic path.
+    The output keeps one row per input token; with an empty prompt set the
+    stacked keys and values are the input rows, so it equals ``msa_forward``.
     """
-    _check_mode(prompts, "prefix")
-    if prompts.length == 0:
-        return msa_forward(bundle)
-    p_key, p_value = _prompt_arrays(bundle, prompts)
-    keys = np.vstack([p_key, bundle.x])
-    values = np.vstack([p_value, bundle.x])
-    return _concat_project(bundle, _head_outputs(bundle, bundle.x, keys, values))
+    return _concat_project(bundle, prefix_head_outputs(bundle, prompts))
 
 
 def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
@@ -194,14 +188,7 @@ def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     one row per prompt vector (each prompt row is a fresh mixture over the
     same expanded expert set).
     """
-    _check_mode(prompts, "prompt")
-    if prompts.length == 0:
-        return msa_forward(bundle)
-    p, _ = _prompt_arrays(bundle, prompts)
-    queries = np.vstack([bundle.x, p])
-    keys = np.vstack([p, bundle.x])
-    values = np.vstack([p, bundle.x])
-    return _concat_project(bundle, _head_outputs(bundle, queries, keys, values))
+    return _concat_project(bundle, prompt_head_outputs(bundle, prompts))
 
 
 def prefix_head_outputs(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:

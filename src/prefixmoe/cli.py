@@ -21,7 +21,6 @@ from .estimation import (
     ESTIMATOR_NOTE,
     FitConfig,
     InitSpec,
-    OptimizerConfig,
     fit,
     gradient_check,
 )
@@ -81,12 +80,14 @@ def _fit_config_from(cfg: dict, setting: str, seed: int, where: str) -> FitConfi
     else:
         raise ConfigurationError(f"{where}.init: unknown kind {kind!r}")
     opt_cfg = cfg.get("optimizer", {})
-    optimizer = OptimizerConfig(max_iters=int(opt_cfg.get("max_iters", OptimizerConfig.max_iters)))
+    for key in opt_cfg:
+        if key != "max_iters":
+            raise ConfigurationError(f"{where}.optimizer: unknown field {key!r}")
     return FitConfig(
         setting=setting,
         atom_budget=int(_require(cfg, "atom_budget", where)),
         init=init,
-        optimizer=optimizer,
+        max_iters=int(opt_cfg.get("max_iters", FitConfig.max_iters)),
         box_bound=float(cfg.get("box_bound", 5.0)),
         seed=int(seed),
         latent_dim=(int(cfg["latent_dim"]) if "latent_dim" in cfg else None),
@@ -111,7 +112,7 @@ def _guard_outputs(paths, force: bool) -> None:
         )
 
 
-def _write_manifest(outdir: Path, command: str, config_path: Path, seed_override, force: bool) -> None:
+def _write_manifest(outdir: Path, command: str, config_path: Path, seed_override) -> None:
     manifest = {
         "version": 1,
         "command": command,
@@ -122,8 +123,7 @@ def _write_manifest(outdir: Path, command: str, config_path: Path, seed_override
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
     }
-    path = outdir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (outdir / "run_manifest.json").write_text(_json_text(manifest))
 
 
 def _json_text(data) -> str:
@@ -158,7 +158,7 @@ def cmd_equiv(args) -> int:
         max_prompts=int(cfg.get("max_prompts", 4)),
     )
     (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
-    _write_manifest(outdir, "equiv", config_path, args.seed, args.force)
+    _write_manifest(outdir, "equiv", config_path, args.seed)
     if not report.passed:
         print(
             f"equivalence failure: prefix diff {report.max_abs_diff_prefix:.3e}, "
@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
     (outdir / "sweep_summary.json").write_text(result.json_text())
     (outdir / f"plot_{loss_name}.dat").write_text(result.plot_text("loss"))
     (outdir / "plot_l2.dat").write_text(result.plot_text("l2"))
-    _write_manifest(outdir, "sweep", config_path, args.seed, args.force)
+    _write_manifest(outdir, "sweep", config_path, args.seed)
     bad = [a for a in result.aggregates if a["failure_count"] > 0.5 * (a["fit_count"] + a["failure_count"])]
     if bad:
         sizes = ", ".join(str(a["n"]) for a in bad)
@@ -272,7 +272,7 @@ def cmd_witness(args) -> int:
     }
     (outdir / "witness_table.csv").write_text(table_text)
     (outdir / "witness_summary.json").write_text(_json_text(summary))
-    _write_manifest(outdir, "witness", config_path, args.seed, args.force)
+    _write_manifest(outdir, "witness", config_path, args.seed)
     if worst > WITNESS_AGREEMENT_TOL:
         print(
             f"witness failure: computed loss disagrees with the closed form by {worst:.3e}",
@@ -300,7 +300,7 @@ def cmd_gen(args) -> int:
             )
     dataset = gen_dataset(model, n, seed)
     dataset.save(csv_path)
-    _write_manifest(outdir, "gen", config_path, args.seed, args.force)
+    _write_manifest(outdir, "gen", config_path, args.seed)
     return 0
 
 
@@ -349,7 +349,7 @@ def cmd_fit(args) -> int:
                 ),
             }
     (outdir / "fit_result.json").write_text(_json_text(payload))
-    _write_manifest(outdir, "fit", config_path, args.seed, args.force)
+    _write_manifest(outdir, "fit", config_path, args.seed)
     return 1 if result.failed else 0
 
 

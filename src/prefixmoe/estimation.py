@@ -21,7 +21,7 @@ measure's declared fields and its ``prompt_map``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ from .model import (
 )
 
 __all__ = [
-    "OptimizerConfig",
     "InitSpec",
     "FitConfig",
     "FitResult",
@@ -66,21 +65,6 @@ ESTIMATOR_NOTE = (
 
 # scipy's default least_squares tolerances, named so sweep summaries can echo them
 SOLVER_TOLERANCES = {"ftol": 1e-8, "xtol": 1e-8, "gtol": 1e-8}
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the trust-region reflective least-squares solver.
-
-    The solver stops on ``SOLVER_TOLERANCES``, which counts as convergence,
-    or after ``max_iters`` residual evaluations, which does not.
-    """
-
-    max_iters: int = 20000
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -117,12 +101,16 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit needs besides the data and the frozen components."""
+    """Everything a fit needs besides the data and the frozen components.
+
+    The solver stops on ``SOLVER_TOLERANCES``, which counts as convergence,
+    or after ``max_iters`` residual evaluations, which does not.
+    """
 
     setting: str
     atom_budget: int
     init: InitSpec
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    max_iters: int = 20000
     box_bound: float = 5.0
     seed: int = 0
     latent_dim: Optional[int] = None
@@ -133,6 +121,8 @@ class FitConfig:
             raise ConfigurationError(f"unknown setting {self.setting!r}")
         if self.atom_budget < 1:
             raise ConfigurationError("atom budget must be at least 1")
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be at least 1")
         if self.box_bound <= 0:
             raise ConfigurationError("box_bound must be positive")
 
@@ -355,7 +345,7 @@ def _build_inits(config: FitConfig, dim: int, rng):
 # solver
 
 
-def _minimize(problem: _Problem, theta0: np.ndarray, opt: OptimizerConfig, box_bound: float):
+def _minimize(problem: _Problem, theta0: np.ndarray, max_iters: int, box_bound: float):
     theta = np.clip(theta0, -box_bound, box_bound)
     residual, jac = problem.residual_and_jacobian(theta)
     if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(jac))):
@@ -378,7 +368,7 @@ def _minimize(problem: _Problem, theta0: np.ndarray, opt: OptimizerConfig, box_b
         jac=jac_at,
         bounds=(-box_bound, box_bound),
         method="trf",
-        max_nfev=opt.max_iters,
+        max_nfev=max_iters,
         **SOLVER_TOLERANCES,
     )
     value = float(sol.fun @ sol.fun)
@@ -411,7 +401,7 @@ def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, config: Fi
     last_init = inits[0]
     for init_measure in inits:
         last_init = init_measure
-        outcome = _minimize(problem, pack_parameters(init_measure), config.optimizer, config.box_bound)
+        outcome = _minimize(problem, pack_parameters(init_measure), config.max_iters, config.box_bound)
         if outcome is None:
             restart_objectives.append(math.nan)
             continue

@@ -18,8 +18,6 @@ import hashlib
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -233,7 +231,7 @@ class SweepSpec:
                 "optimizer": {
                     "solver": "trf",
                     **SOLVER_TOLERANCES,
-                    "max_iters": self.fit_config.optimizer.max_iters,
+                    "max_iters": self.fit_config.max_iters,
                 },
             },
             "truth": model_to_dict(self.truth),
@@ -342,20 +340,9 @@ def _median_or_none(values):
     return float(np.median(values)) if values else None
 
 
-def default_workers() -> int:
-    env = os.environ.get("PREFIXMOE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Execute every (n, rep) cell of the sweep in grid order and aggregate.
 
-
-def run_sweep(spec: SweepSpec, max_workers: Optional[int] = None) -> SweepResult:
-    """Execute every (n, rep) cell of the sweep and aggregate.
-
-    Cells are independent; they may run on a thread pool (size from
-    ``max_workers`` or the PREFIXMOE_THREADS environment variable) and are
-    always merged in grid order, so results do not depend on scheduling.
     Failed fits are excluded from aggregates and counted.
     """
     ident = check_identifiability(spec.truth.measure, spec.truth.proj)
@@ -366,15 +353,11 @@ def run_sweep(spec: SweepSpec, max_workers: Optional[int] = None) -> SweepResult
         )
     loss_name, loss_fn = loss_for_setting(spec.setting, spec.voronoi_r)
     truth_fn = regression_fn(spec.truth.bank, spec.truth.proj, spec.truth.measure)
-    cells = [(n, rep) for n in spec.sample_sizes for rep in range(spec.replications)]
-    workers = max_workers if max_workers is not None else default_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda cell: _run_cell(spec, loss_name, loss_fn, truth_fn, *cell), cells)
-            )
-    else:
-        rows = [_run_cell(spec, loss_name, loss_fn, truth_fn, n, rep) for n, rep in cells]
+    rows = [
+        _run_cell(spec, loss_name, loss_fn, truth_fn, n, rep)
+        for n in spec.sample_sizes
+        for rep in range(spec.replications)
+    ]
 
     aggregates = []
     for n in spec.sample_sizes:

@@ -382,47 +382,32 @@ def expert_scalars(measure, proj: ProjectionPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputLaw:
-    """Sampling law for the covariates.
-
-    ``uniform``: independent coordinates on [low, high].
-    ``gaussian_trunc``: standard normal vectors, resampled until the norm
-    is at most ``radius``.
-    """
+    """Sampling law for the covariates: independent coordinates, uniform on
+    [low, high]. ``uniform`` is the only ``kind``; any other is refused."""
 
     kind: str = "uniform"
     low: float = -1.0
     high: float = 1.0
-    radius: float = 3.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian_trunc"):
+        if self.kind != "uniform":
             raise ConfigurationError(f"unknown input law {self.kind!r}")
-        if self.kind == "uniform" and not self.low < self.high:
+        if not self.low < self.high:
             raise ConfigurationError("uniform law needs low < high")
-        if self.kind == "gaussian_trunc" and not self.radius > 0:
-            raise ConfigurationError("truncation radius must be positive")
 
     def sample(self, count: int, dim: int, rng) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size=(count, dim))
-        x = rng.standard_normal((count, dim))
-        while True:
-            bad = np.linalg.norm(x, axis=1) > self.radius
-            if not bad.any():
-                return x
-            x[bad] = rng.standard_normal((int(bad.sum()), dim))
+        return rng.uniform(self.low, self.high, size=(count, dim))
 
     def to_dict(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.low, "high": self.high}
-        return {"kind": "gaussian_trunc", "radius": self.radius}
+        return {"kind": self.kind, "low": self.low, "high": self.high}
 
     @classmethod
     def from_dict(cls, data: dict) -> "InputLaw":
-        kind = data.get("kind", "uniform")
-        if kind == "uniform":
-            return cls("uniform", low=float(data.get("low", -1.0)), high=float(data.get("high", 1.0)))
-        return cls("gaussian_trunc", radius=float(data.get("radius", 3.0)))
+        return cls(
+            data.get("kind", "uniform"),
+            low=float(data.get("low", -1.0)),
+            high=float(data.get("high", 1.0)),
+        )
 
 
 @dataclass(frozen=True)

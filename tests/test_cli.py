@@ -132,7 +132,7 @@ def test_fit_grad_check_section(tmp_path):
             "fit": {
                 "atom_budget": 2,
                 "init": {"kind": "oracle_perturb", "scale": 0.1},
-                "optimizer": {"learning_rate": 0.02, "max_iters": 500},
+                "optimizer": {"max_iters": 500},
             },
         },
     )
@@ -160,6 +160,32 @@ def test_fit_refuses_mismatched_setting(tmp_path, capsys):
     )
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
     assert "provenance" in capsys.readouterr().err
+
+
+def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
+    gen_cfg = write_config(
+        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
+    )
+    out = tmp_path / "run"
+    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
+    fit_cfg = write_config(
+        tmp_path,
+        "fit.json",
+        {
+            "version": 1,
+            "dataset": "dataset.csv",
+            "setting": "linear_shared",
+            "seed": 7,
+            "fit": {
+                "atom_budget": 2,
+                "init": {"kind": "oracle_perturb", "scale": 0.1},
+                "optimizer": {"learning_rate": 0.02},
+            },
+        },
+    )
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (out / "fit_result.json").exists()
 
 
 def test_outputs_are_not_overwritten_without_force(tmp_path):
@@ -292,7 +318,7 @@ def sweep_config():
         "mc_samples": 500,
         "seed": 13,
         "fit": {"atom_budget": 3, "init": {"kind": "oracle_perturb", "scale": 0.1},
-                "optimizer": {"learning_rate": 0.02, "max_iters": 300}},
+                "optimizer": {"max_iters": 300}},
     }
 
 

@@ -15,7 +15,6 @@ from prefixmoe import (
     LinearSharedMeasure,
     NeuralSharedMeasure,
     NonSharedMeasure,
-    OptimizerConfig,
     PretrainedBank,
     ProjectionPair,
     RegressionModel,
@@ -204,7 +203,6 @@ def test_noiseless_perturbed_start_recovers_truth():
         "linear_shared",
         2,
         InitSpec.oracle_perturb(0.05, truth),
-        optimizer=OptimizerConfig(),
         seed=1,
     )
     result = fit(ds, bank, proj, config)
@@ -231,7 +229,7 @@ def test_multistart_reports_minimum_of_restart_objectives():
         "linear_shared",
         1,
         InitSpec.multistart(4),
-        optimizer=OptimizerConfig(max_iters=800),
+        max_iters=800,
         seed=3,
     )
     result = fit(ds, bank, proj, config)
@@ -248,7 +246,7 @@ def test_fitted_parameters_respect_the_box():
         "linear_shared",
         1,
         InitSpec.multistart(2),
-        optimizer=OptimizerConfig(max_iters=500),
+        max_iters=500,
         box_bound=0.5,
         seed=4,
     )
@@ -264,7 +262,7 @@ def test_fit_is_bitwise_deterministic():
         "linear_shared",
         3,
         InitSpec.oracle_perturb(0.1, truth),
-        optimizer=OptimizerConfig(max_iters=2000),
+        max_iters=2000,
         seed=5,
     )
     a = fit(ds, bank, proj, config)
@@ -309,7 +307,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         FitConfig("linear_shared", 0, InitSpec.multistart(1))
     with pytest.raises(ConfigurationError):
-        OptimizerConfig(max_iters=0)
+        FitConfig("linear_shared", 1, InitSpec.multistart(1), max_iters=0)
     with pytest.raises(ConfigurationError):
         InitSpec("oracle_perturb", scale=-0.1)
     with pytest.raises(ConfigurationError):

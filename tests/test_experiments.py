@@ -12,7 +12,6 @@ from prefixmoe import (
     InputLaw,
     LinearSharedMeasure,
     NonSharedMeasure,
-    OptimizerConfig,
     PretrainedBank,
     ProjectionPair,
     RegressionModel,
@@ -218,7 +217,7 @@ def test_sweep_serialization_is_reproducible():
             "linear_shared",
             3,
             InitSpec.oracle_perturb(0.1),
-            optimizer=OptimizerConfig(max_iters=400),
+            max_iters=400,
             seed=0,
         ),
         mc_samples=400,
@@ -232,27 +231,6 @@ def test_sweep_serialization_is_reproducible():
         "setting,n,rep,loss_name,loss_value,l2_error,objective,converged"
     )
     assert len(a.rows) == 4
-
-
-def test_sweep_workers_do_not_change_results():
-    bank, proj, truth = tiny_parts()
-    model = RegressionModel(bank, proj, truth, noise_sd=0.1)
-    spec = SweepSpec(
-        setting="linear_shared",
-        truth=model,
-        sample_sizes=(50, 80),
-        replications=2,
-        fit_config=FitConfig(
-            "linear_shared",
-            2,
-            InitSpec.oracle_perturb(0.1),
-            optimizer=OptimizerConfig(max_iters=300),
-            seed=0,
-        ),
-        mc_samples=300,
-        seed=31,
-    )
-    assert run_sweep(spec, max_workers=1).csv_text() == run_sweep(spec, max_workers=3).csv_text()
 
 
 def test_paired_settings_consume_identical_randomness():

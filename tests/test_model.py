@@ -152,15 +152,6 @@ def test_noise_moments_match_law_of_large_numbers():
     assert abs(resid.var() - 0.01) <= 0.1 * 0.01
 
 
-def test_truncated_gaussian_law_respects_radius():
-    law = InputLaw("gaussian_trunc", radius=3.0)
-    rng = np.random.default_rng(31)
-    x = law.sample(5000, 4, rng)
-    assert (np.linalg.norm(x, axis=1) <= 3.0).all()
-    y = law.sample(5000, 4, np.random.default_rng(31))
-    assert np.array_equal(x, y)
-
-
 def test_dataset_needs_at_least_one_sample():
     bank = PretrainedBank.random(1, 2, seed=1)
     model = RegressionModel(bank, make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.0)
@@ -220,7 +211,7 @@ def test_model_round_trips_through_dict():
     latent = NeuralSharedMeasure(
         rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), [0.1, -0.2], rng.normal(size=(2, 2))
     )
-    model = RegressionModel(bank, proj, latent, noise_sd=0.25, input_law=InputLaw("gaussian_trunc"))
+    model = RegressionModel(bank, proj, latent, noise_sd=0.25, input_law=InputLaw("uniform", low=-2.0, high=0.5))
     clone = model_from_dict(model_to_dict(model))
     assert np.array_equal(clone.measure.w1, model.measure.w1)
     assert np.array_equal(clone.bank.gate_mats, model.bank.gate_mats)
@@ -228,6 +219,14 @@ def test_model_round_trips_through_dict():
     assert clone.noise_sd == model.noise_sd
     x = rng.uniform(-1, 1, size=(20, 3))
     np.testing.assert_array_equal(eval_regression(model, x), eval_regression(clone, x))
+
+
+def test_unknown_input_law_kind_is_configuration_error():
+    model = RegressionModel(zero_bank(), make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.1)
+    data = model_to_dict(model)
+    data["input_law"] = {"kind": "unifrom"}
+    with pytest.raises(ConfigurationError):
+        model_from_dict(data)
 
 
 def test_dataset_round_trips_through_csv(tmp_path):
