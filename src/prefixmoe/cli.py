@@ -26,8 +26,7 @@ from .estimation import (
 )
 from .experiments import (
     SweepSpec,
-    child_seed,
-    l2_norm_mc,
+    l2_norm,
     run_sweep,
     witness_closed_form,
     witness_sequence,
@@ -61,6 +60,9 @@ def _load_config(path: Path) -> dict:
         raise ConfigurationError(f"{path}: top level must be a JSON object")
     if data.get("version") != 1:
         raise ConfigurationError(f"{path}: field 'version' must be 1")
+    # configs written before the L2 distance became exact name a Monte-Carlo sample count
+    for key in data.keys() & {"mc_samples"}:
+        print(f"note: {path}: field {key!r} is ignored; the L2 distance is exact quadrature", file=sys.stderr)
     return data
 
 
@@ -70,8 +72,15 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where}: must be a JSON object")
+    return value
+
+
 def _fit_config_from(cfg: dict, setting: str, seed: int, where: str) -> FitConfig:
-    init_cfg = _require(cfg, "init", where)
+    cfg = _object(cfg, where)
+    init_cfg = _object(_require(cfg, "init", where), f"{where}.init")
     kind = _require(init_cfg, "kind", f"{where}.init")
     if kind == "multistart":
         init = InitSpec.multistart(int(init_cfg.get("restarts", 16)))
@@ -79,7 +88,7 @@ def _fit_config_from(cfg: dict, setting: str, seed: int, where: str) -> FitConfi
         init = InitSpec.oracle_perturb(float(init_cfg.get("scale", 0.1)))
     else:
         raise ConfigurationError(f"{where}.init: unknown kind {kind!r}")
-    opt_cfg = cfg.get("optimizer", {})
+    opt_cfg = _object(cfg.get("optimizer", {}), f"{where}.optimizer")
     for key in opt_cfg:
         if key != "max_iters":
             raise ConfigurationError(f"{where}.optimizer: unknown field {key!r}")
@@ -180,7 +189,6 @@ def _sweep_spec_from(cfg: dict, seed_override) -> SweepSpec:
         sample_sizes=tuple(int(n) for n in _require(cfg, "sample_sizes", "sweep config")),
         replications=int(_require(cfg, "replications", "sweep config")),
         fit_config=fit_config,
-        mc_samples=int(_require(cfg, "mc_samples", "sweep config")),
         seed=seed,
         voronoi_r=int(cfg.get("voronoi_r", 2)),
     )
@@ -230,7 +238,6 @@ def cmd_witness(args) -> int:
     if r < 1:
         raise ConfigurationError("witness config: r must be a positive integer")
     sizes = [int(n) for n in _require(cfg, "sample_sizes", "witness config")]
-    mc_samples = int(_require(cfg, "mc_samples", "witness config"))
     seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "witness config"))
     truth = truth_model.measure
     truth_fn = regression_fn(truth_model.bank, truth_model.proj, truth)
@@ -241,28 +248,18 @@ def cmd_witness(args) -> int:
         computed = loss_d1r(witness, truth, r)
         closed = witness_closed_form(truth, n, r)
         witness_fn = regression_fn(truth_model.bank, truth_model.proj, witness)
-        l2 = l2_norm_mc(
-            witness_fn,
-            truth_fn,
-            truth_model.input_law,
-            truth_model.proj.dim,
-            mc_samples,
-            child_seed(seed, n, "witness-mc"),
-        )
+        l2 = l2_norm(witness_fn, truth_fn, truth_model.input_law, truth_model.proj.dim)
         worst = max(worst, abs(computed - closed))
-        rows.append({"n": n, "closed_form": closed, "computed": computed, "l2_mc": l2, "ratio": l2 / computed})
-    lines = ["n,closed_form,computed,l2_mc,ratio"]
+        rows.append({"n": n, "closed_form": closed, "computed": computed, "l2": l2, "ratio": l2 / computed})
+    lines = ["n,closed_form,computed,l2,ratio"]
     for row in rows:
-        lines.append(
-            f"{row['n']},{row['closed_form']!r},{row['computed']!r},{row['l2_mc']!r},{row['ratio']!r}"
-        )
+        lines.append(f"{row['n']},{row['closed_form']!r},{row['computed']!r},{row['l2']!r},{row['ratio']!r}")
     table_text = "\n".join(lines) + "\n"
     ratios = [row["ratio"] for row in rows]
     summary = {
         "version": 1,
         "r": r,
         "sample_sizes": sizes,
-        "mc_samples": mc_samples,
         "seed": seed,
         "max_abs_disagreement": worst,
         "agreement_tol": WITNESS_AGREEMENT_TOL,
@@ -333,7 +330,7 @@ def cmd_fit(args) -> int:
     payload = {
         "version": 1,
         "setting": setting,
-        "dataset": str(dataset_path),
+        "dataset": cfg["dataset"],
         "fit": result.to_dict(),
         "estimator_note": ESTIMATOR_NOTE,
     }

@@ -124,13 +124,8 @@ def test_criterion_3_witness_exactness_and_slow_rate_ratio():
 
     def ratio(n):
         witness = pm.witness_sequence(model.measure, n, 1)
-        l2 = pm.l2_norm_mc(
-            pm.regression_fn(model.bank, model.proj, witness),
-            truth_fn,
-            model.input_law,
-            model.proj.dim,
-            100_000,
-            seed=424242,
+        l2 = pm.l2_norm(
+            pm.regression_fn(model.bank, model.proj, witness), truth_fn, model.input_law, model.proj.dim
         )
         return l2 / pm.loss_d1r(witness, model.measure, 1)
 
@@ -259,32 +254,23 @@ def test_criterion_8_bundled_configs_are_reproducible(tmp_path):
     # gen writes <name>.csv and its sidecar, with the name "dataset" by default
     gen_name = json.loads((CONFIGS / "gen_linear.json").read_text()).get("name", "dataset")
     gen_csv = Path(f"{gen_name}.csv")
-    runs = [
-        ("equiv", "equiv_small.json", ["equiv_report.json"]),
-        ("witness", "witness_small.json", ["witness_table.csv", "witness_summary.json"]),
-        ("sweep", None, ["sweep_results.csv", "sweep_summary.json", "plot_d2.dat", "plot_l2.dat"]),
-        ("gen", None, [gen_csv.name, pm.Dataset.meta_path(gen_csv).name]),
-    ]
-    # reduced copies of the bundled equiv/witness configs keep this quick;
-    # the sweep and gen runs use the bundled files as shipped
+    # a reduced copy of the bundled equiv config keeps this quick; the
+    # witness, sweep and gen runs use the bundled files as shipped
     small_equiv = json.loads((CONFIGS / "equiv.json").read_text())
     small_equiv["trials"] = 10
     (tmp_path / "equiv_small.json").write_text(json.dumps(small_equiv))
-    small_witness = json.loads((CONFIGS / "witness.json").read_text())
-    small_witness["mc_samples"] = 4000
-    (tmp_path / "witness_small.json").write_text(json.dumps(small_witness))
+    runs = [
+        ("equiv", tmp_path / "equiv_small.json", ["equiv_report.json"]),
+        ("witness", CONFIGS / "witness.json", ["witness_table.csv", "witness_summary.json"]),
+        ("sweep", CONFIGS / "smoke_sweep.json", ["sweep_results.csv", "sweep_summary.json", "plot_d2.dat", "plot_l2.dat"]),
+        ("gen", CONFIGS / "gen_linear.json", [gen_csv.name, pm.Dataset.meta_path(gen_csv).name]),
+    ]
 
-    for command, local, names in runs:
-        if command == "sweep":
-            cfg = str(CONFIGS / "smoke_sweep.json")
-        elif command == "gen":
-            cfg = str(CONFIGS / "gen_linear.json")
-        else:
-            cfg = str(tmp_path / local)
+    for command, config, names in runs:
         out_a = tmp_path / f"{command}_a"
         out_b = tmp_path / f"{command}_b"
-        assert main([command, "--config", cfg, "--output-dir", str(out_a)]) == 0
-        assert main([command, "--config", cfg, "--output-dir", str(out_b)]) == 0
+        assert main([command, "--config", str(config), "--output-dir", str(out_a)]) == 0
+        assert main([command, "--config", str(config), "--output-dir", str(out_b)]) == 0
         for name in names:
             same = (out_a / name).read_bytes() == (out_b / name).read_bytes()
             assert same, f"{command}/{name} differs between reruns"

@@ -188,6 +188,54 @@ def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
     assert not (out / "fit_result.json").exists()
 
 
+@pytest.mark.parametrize("block", ["fit", "init", "optimizer"])
+def test_fit_block_that_is_not_an_object_exits_2(tmp_path, capsys, block):
+    gen_cfg = write_config(
+        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
+    )
+    out = tmp_path / "run"
+    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
+    data = {
+        "version": 1,
+        "dataset": "dataset.csv",
+        "setting": "linear_shared",
+        "seed": 7,
+        "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
+    }
+    if block == "fit":
+        data["fit"] = 5
+    else:
+        data["fit"][block] = 5
+    fit_cfg = write_config(tmp_path, "fit.json", data)
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (out / "fit_result.json").exists()
+
+
+def test_fit_result_does_not_depend_on_output_dir(tmp_path):
+    gen_cfg = write_config(
+        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 60, "seed": 5}
+    )
+    fit_cfg = write_config(
+        tmp_path,
+        "fit.json",
+        {
+            "version": 1,
+            "dataset": "dataset.csv",
+            "setting": "linear_shared",
+            "seed": 7,
+            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
+        },
+    )
+    outs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
+    for out in outs:
+        assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
+        assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 0
+    a, b = ((out / "fit_result.json").read_bytes() for out in outs)
+    assert a == b
+    assert json.loads(a)["dataset"] == "dataset.csv"
+
+
 def test_outputs_are_not_overwritten_without_force(tmp_path):
     gen_cfg = write_config(
         tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 20, "seed": 5}
@@ -269,7 +317,6 @@ def witness_config():
         },
         "r": 1,
         "sample_sizes": [10, 100, 1000],
-        "mc_samples": 4000,
         "seed": 12,
     }
 
@@ -283,8 +330,20 @@ def test_witness_table_and_decreasing_ratio(tmp_path):
     assert summary["max_abs_disagreement"] <= 1e-12
     assert summary["ratios_strictly_decreasing"]
     table = (out / "witness_table.csv").read_text().splitlines()
-    assert table[0] == "n,closed_form,computed,l2_mc,ratio"
+    assert table[0] == "n,closed_form,computed,l2,ratio"
     assert len(table) == 4
+
+
+def test_witness_ignores_mc_samples_with_a_note(tmp_path, capsys):
+    plain = write_config(tmp_path, "plain.json", witness_config())
+    old = write_config(tmp_path, "old.json", {**witness_config(), "mc_samples": 4000})
+    assert main(["witness", "--config", str(plain), "--output-dir", str(tmp_path / "a")]) == 0
+    assert "mc_samples" not in capsys.readouterr().err
+    assert main(["witness", "--config", str(old), "--output-dir", str(tmp_path / "b")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'mc_samples' is ignored" in err
+    for name in ("witness_table.csv", "witness_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_witness_rejects_r_zero(tmp_path):
@@ -315,7 +374,6 @@ def sweep_config():
         "model": model,
         "sample_sizes": [50, 80],
         "replications": 2,
-        "mc_samples": 500,
         "seed": 13,
         "fit": {"atom_budget": 3, "init": {"kind": "oracle_perturb", "scale": 0.1},
                 "optimizer": {"max_iters": 300}},
@@ -328,7 +386,7 @@ def test_sweep_dry_run_prints_plan_without_outputs(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--output-dir", str(out), "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)
     assert len(plan["cells"]) == 4
-    assert {"n", "rep", "data_seed", "fit_seed", "mc_seed"} <= set(plan["cells"][0])
+    assert set(plan["cells"][0]) == {"n", "rep", "data_seed", "fit_seed"}
     assert not out.exists()
 
 

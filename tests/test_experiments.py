@@ -1,6 +1,8 @@
-"""Monte-Carlo norms, the slow-rate witness, slope fitting, and sweeps."""
+"""Exact L2 norms, the slow-rate witness, slope fitting, and sweeps."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,50 +19,63 @@ from prefixmoe import (
     RegressionModel,
     UsageError,
     child_seed,
+    fit,
     fit_slope,
     gen_dataset,
-    l2_norm_mc,
+    l2_norm,
     loss_d1r,
     regression_fn,
     run_sweep,
     witness_closed_form,
     witness_sequence,
 )
-from prefixmoe.experiments import SweepSpec
+from prefixmoe import experiments
+from prefixmoe.cli import _sweep_spec_from
+from prefixmoe.experiments import SweepSpec, _resolved_fit_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -----------------------------------------------------------------------
-# Monte-Carlo L2 norm
+# exact L2 norm
 
 
 def test_identical_functions_have_zero_distance():
-    law = InputLaw()
     fn = lambda x: x[:, 0] ** 2
-    assert l2_norm_mc(fn, fn, law, 3, 1000, seed=1) == 0.0
+    assert l2_norm(fn, fn, InputLaw(), 3) == 0.0
 
 
 def test_constant_offset_is_recovered_exactly():
-    law = InputLaw()
-    for m in (1, 10, 1000):
-        value = l2_norm_mc(lambda x: x[:, 0], lambda x: x[:, 0] + 0.75, law, 2, m, seed=2)
-        assert value == pytest.approx(0.75, rel=1e-15)
+    for dim in (1, 2, 3):
+        value = l2_norm(lambda x: x[:, 0], lambda x: x[:, 0] + 0.75, InputLaw(), dim)
+        assert abs(value - 0.75) <= 1e-15
 
 
 def test_linear_difference_matches_closed_form_integral():
-    # f - g = x on Uniform[-1, 1]: the L2 norm is 1/sqrt(3)
-    law = InputLaw()
-    m = 100_000
-    est = l2_norm_mc(lambda x: x[:, 0], lambda x: np.zeros(len(x)), law, 1, m, seed=3)
-    # standard error of the RMS via the delta method
-    se = math.sqrt((1 / 5 - 1 / 9) / m) / (2 / math.sqrt(3))
-    assert abs(est - 1 / math.sqrt(3)) <= 3 * se
+    # f - g = x_0 on Uniform[low, high]^dim: the L2 norm is the root of
+    # (high^3 - low^3) / (3 (high - low)), 1/sqrt(3) on [-1, 1]
+    for low, high in ((-1.0, 1.0), (-2.0, 0.5)):
+        exact = math.sqrt((high**3 - low**3) / (3 * (high - low)))
+        for dim in (1, 2, 3):
+            law = InputLaw(low=low, high=high)
+            assert abs(l2_norm(lambda x: x[:, 0], lambda x: np.zeros(len(x)), law, dim) - exact) <= 1e-14
 
 
-def test_common_random_numbers_are_shared_across_calls():
-    law = InputLaw()
-    a = l2_norm_mc(lambda x: x[:, 0], lambda x: 0 * x[:, 0], law, 2, 500, seed=9)
-    b = l2_norm_mc(lambda x: x[:, 0], lambda x: 0 * x[:, 0], law, 2, 500, seed=9)
-    assert a == b
+@pytest.mark.parametrize(
+    "name", ["linear_shared_rate.json", "separation_non_shared_rate.json", "neural_shared_rate.json"]
+)
+def test_sixteen_nodes_agree_with_twenty_four_on_fitted_measures(name, monkeypatch):
+    spec = _sweep_spec_from(json.loads((CONFIGS / name).read_text()), None)
+    model = spec.truth
+    dataset = gen_dataset(model, 200, child_seed(spec.seed, 200, 0, "data"))
+    result = fit(dataset, model.bank, model.proj, _resolved_fit_config(spec, 0))
+    assert not result.failed
+    fitted = regression_fn(model.bank, model.proj, result.measure)
+    truth = regression_fn(model.bank, model.proj, model.measure)
+    coarse = l2_norm(fitted, truth, model.input_law, model.proj.dim)
+    monkeypatch.setattr(experiments, "QUADRATURE_NODES", 24)
+    fine = l2_norm(fitted, truth, model.input_law, model.proj.dim)
+    assert coarse > 0 and abs(coarse - fine) <= 1e-10 * fine
 
 
 # -----------------------------------------------------------------------
@@ -115,14 +130,11 @@ def test_witness_density_ratio_shrinks_like_one_over_n():
     bank = PretrainedBank.random(2, 3, seed=55)
     proj = ProjectionPair.random(3, seed=56)
     truth = witness_truth()
-    law = InputLaw()
     truth_fn = regression_fn(bank, proj, truth)
 
     def ratio(n):
         witness = witness_sequence(truth, n, 1)
-        l2 = l2_norm_mc(
-            regression_fn(bank, proj, witness), truth_fn, law, 3, 20_000, seed=777
-        )
+        l2 = l2_norm(regression_fn(bank, proj, witness), truth_fn, InputLaw(), 3)
         return l2 / loss_d1r(witness, truth, 1)
 
     assert ratio(100) <= 0.25 * ratio(10)
@@ -195,7 +207,6 @@ def test_noiseless_oracle_sweep_has_zero_losses():
         sample_sizes=(100,),
         replications=1,
         fit_config=FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.0), seed=0),
-        mc_samples=500,
         seed=11,
     )
     result = run_sweep(spec)
@@ -220,7 +231,6 @@ def test_sweep_serialization_is_reproducible():
             max_iters=400,
             seed=0,
         ),
-        mc_samples=400,
         seed=21,
     )
     a = run_sweep(spec)
@@ -254,7 +264,6 @@ def test_sweep_rejects_non_identifiable_truth():
         sample_sizes=(50,),
         replications=1,
         fit_config=FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.1), seed=0),
-        mc_samples=100,
         seed=5,
     )
     with pytest.raises(ConfigurationError):
@@ -266,8 +275,8 @@ def test_sweep_spec_validation():
     model = RegressionModel(bank, proj, truth, noise_sd=0.1)
     cfg = FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.1), seed=0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("linear_shared", model, (100, 100), 1, cfg, 100, 1)
+        SweepSpec("linear_shared", model, (100, 100), 1, cfg, 1)
     with pytest.raises(ConfigurationError):
-        SweepSpec("linear_shared", model, (100, 50), 1, cfg, 100, 1)
+        SweepSpec("linear_shared", model, (100, 50), 1, cfg, 1)
     with pytest.raises(ConfigurationError):
-        SweepSpec("non_shared", model, (50, 100), 1, cfg, 100, 1)
+        SweepSpec("non_shared", model, (50, 100), 1, cfg, 1)
