@@ -20,7 +20,6 @@ from .errors import ConfigurationError, UsageError
 from .estimation import (
     ESTIMATOR_NOTE,
     FitConfig,
-    InitSpec,
     fit,
     gradient_check,
 )
@@ -66,41 +65,65 @@ def _load_config(path: Path) -> dict:
     return data
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
+# the JSON types each conversion accepts; booleans are never numbers
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a JSON list"),
+    dict: ((dict,), "a JSON object"),
+}
+_MISSING = object()
+
+
+def _typed(value, kind, what: str):
+    """``kind(value)``, or a ConfigurationError naming ``what`` when the
+    value has another JSON type."""
+    accepted, label = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"{what} must be {label}, got {value!r}")
+    return kind(value)
+
+
+def _field(cfg: dict, key: str, kind, where: str, default=_MISSING):
+    """Field ``key`` of ``cfg`` as ``kind``; required unless a default is given."""
+    if key not in cfg and default is _MISSING:
         raise ConfigurationError(f"{where}: missing field {key!r}")
-    return cfg[key]
+    return _typed(cfg.get(key, default), kind, f"{where}: field {key!r}")
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{where}: must be a JSON object")
-    return value
+def _int_list(cfg: dict, key: str, where: str, default=_MISSING) -> list:
+    return [_typed(v, int, f"{where}: entry of {key!r}") for v in _field(cfg, key, list, where, default)]
 
 
-def _fit_config_from(cfg: dict, setting: str, seed: int, where: str) -> FitConfig:
-    cfg = _object(cfg, where)
-    init_cfg = _object(_require(cfg, "init", where), f"{where}.init")
-    kind = _require(init_cfg, "kind", f"{where}.init")
-    if kind == "multistart":
-        init = InitSpec.multistart(int(init_cfg.get("restarts", 16)))
-    elif kind == "oracle_perturb":
-        init = InitSpec.oracle_perturb(float(init_cfg.get("scale", 0.1)))
-    else:
-        raise ConfigurationError(f"{where}.init: unknown kind {kind!r}")
-    opt_cfg = _object(cfg.get("optimizer", {}), f"{where}.optimizer")
-    for key in opt_cfg:
-        if key != "max_iters":
-            raise ConfigurationError(f"{where}.optimizer: unknown field {key!r}")
+def _seed(seed_override, cfg: dict, where: str) -> int:
+    return seed_override if seed_override is not None else _field(cfg, "seed", int, where)
+
+
+def _known(cfg: dict, allowed, where: str) -> None:
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigurationError(f"{where}: unknown field {key!r}")
+
+
+def _fit_config_from(cfg: dict, seed: int, where: str) -> FitConfig:
+    """The fit block of a fit or sweep config. Every fit starts at a
+    perturbation of the generating measure, so ``init.kind`` must be
+    ``oracle_perturb``."""
+    _known(cfg, ("atom_budget", "init", "optimizer", "box_bound"), where)
+    init_cfg = _field(cfg, "init", dict, where)
+    _known(init_cfg, ("kind", "scale"), f"{where}.init")
+    kind = _field(init_cfg, "kind", str, f"{where}.init")
+    if kind != "oracle_perturb":
+        raise ConfigurationError(f"{where}.init: unknown kind {kind!r}; the only kind is 'oracle_perturb'")
+    opt_cfg = _field(cfg, "optimizer", dict, where, {})
+    _known(opt_cfg, ("max_iters",), f"{where}.optimizer")
     return FitConfig(
-        setting=setting,
-        atom_budget=int(_require(cfg, "atom_budget", where)),
-        init=init,
-        max_iters=int(opt_cfg.get("max_iters", FitConfig.max_iters)),
-        box_bound=float(cfg.get("box_bound", 5.0)),
-        seed=int(seed),
-        latent_dim=(int(cfg["latent_dim"]) if "latent_dim" in cfg else None),
-        activations=tuple(cfg.get("activations", ("tanh", "tanh"))),
+        atom_budget=_field(cfg, "atom_budget", int, where),
+        scale=_field(init_cfg, "scale", float, f"{where}.init", FitConfig.scale),
+        max_iters=_field(opt_cfg, "max_iters", int, f"{where}.optimizer", FitConfig.max_iters),
+        box_bound=_field(cfg, "box_bound", float, where, FitConfig.box_bound),
+        seed=seed,
     )
 
 
@@ -156,15 +179,15 @@ def _prepare(args, output_names) -> tuple:
 
 def cmd_equiv(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["equiv_report.json"])
-    seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "equiv config"))
+    where = "equiv config"
     report = run_equivalence_trials(
-        n_trials=int(_require(cfg, "trials", "equiv config")),
-        seed=seed,
-        tolerance=float(cfg.get("tolerance", 1e-9)),
-        max_tokens=int(cfg.get("max_tokens", 8)),
-        max_dim=int(cfg.get("max_dim", 16)),
-        heads=tuple(cfg.get("heads", (1, 2))),
-        max_prompts=int(cfg.get("max_prompts", 4)),
+        n_trials=_field(cfg, "trials", int, where),
+        seed=_seed(args.seed, cfg, where),
+        tolerance=_field(cfg, "tolerance", float, where, 1e-9),
+        max_tokens=_field(cfg, "max_tokens", int, where, 8),
+        max_dim=_field(cfg, "max_dim", int, where, 16),
+        heads=tuple(_int_list(cfg, "heads", where, [1, 2])),
+        max_prompts=_field(cfg, "max_prompts", int, where, 4),
     )
     (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
     _write_manifest(outdir, "equiv", config_path, args.seed)
@@ -179,18 +202,16 @@ def cmd_equiv(args) -> int:
 
 
 def _sweep_spec_from(cfg: dict, seed_override) -> SweepSpec:
-    truth = model_from_dict(_require(cfg, "model", "sweep config"))
-    setting = _require(cfg, "setting", "sweep config")
-    seed = seed_override if seed_override is not None else int(_require(cfg, "seed", "sweep config"))
-    fit_config = _fit_config_from(_require(cfg, "fit", "sweep config"), setting, seed, "sweep config.fit")
+    where = "sweep config"
+    seed = _seed(seed_override, cfg, where)
     return SweepSpec(
-        setting=setting,
-        truth=truth,
-        sample_sizes=tuple(int(n) for n in _require(cfg, "sample_sizes", "sweep config")),
-        replications=int(_require(cfg, "replications", "sweep config")),
-        fit_config=fit_config,
+        setting=_field(cfg, "setting", str, where),
+        truth=model_from_dict(_field(cfg, "model", dict, where)),
+        sample_sizes=tuple(_int_list(cfg, "sample_sizes", where)),
+        replications=_field(cfg, "replications", int, where),
+        fit_config=_fit_config_from(_field(cfg, "fit", dict, where), seed, f"{where}.fit"),
         seed=seed,
-        voronoi_r=int(cfg.get("voronoi_r", 2)),
+        voronoi_r=_field(cfg, "voronoi_r", int, where, 2),
     )
 
 
@@ -231,14 +252,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_witness(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["witness_table.csv", "witness_summary.json"])
-    truth_model = model_from_dict(_require(cfg, "model", "witness config"))
+    where = "witness config"
+    truth_model = model_from_dict(_field(cfg, "model", dict, where))
     if truth_model.measure.variant != "non_shared":
         raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
-    r = int(_require(cfg, "r", "witness config"))
+    r = _field(cfg, "r", int, where)
     if r < 1:
         raise ConfigurationError("witness config: r must be a positive integer")
-    sizes = [int(n) for n in _require(cfg, "sample_sizes", "witness config")]
-    seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "witness config"))
+    sizes = _int_list(cfg, "sample_sizes", where)
+    seed = _seed(args.seed, cfg, where)
     truth = truth_model.measure
     truth_fn = regression_fn(truth_model.bank, truth_model.proj, truth)
     rows = []
@@ -281,10 +303,11 @@ def cmd_witness(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg, config_path, outdir = _prepare(args, [])
-    model = model_from_dict(_require(cfg, "model", "gen config"))
-    n = int(_require(cfg, "n", "gen config"))
-    seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "gen config"))
-    name = cfg.get("name", "dataset")
+    where = "gen config"
+    model = model_from_dict(_field(cfg, "model", dict, where))
+    n = _field(cfg, "n", int, where)
+    seed = _seed(args.seed, cfg, where)
+    name = _field(cfg, "name", str, where, "dataset")
     csv_path = outdir / f"{name}.csv"
     _guard_outputs([csv_path, Dataset.meta_path(csv_path)], args.force)
     if model.measure.n_atoms >= 1:
@@ -303,7 +326,9 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["fit_result.json"])
-    dataset_path = _resolve(_require(cfg, "dataset", "fit config"), outdir)
+    where = "fit config"
+    dataset_name = _field(cfg, "dataset", str, where)
+    dataset_path = _resolve(dataset_name, outdir)
     if not dataset_path.is_file():
         raise ConfigurationError(f"dataset file not found: {dataset_path}")
     dataset = Dataset.load(dataset_path)
@@ -311,31 +336,24 @@ def cmd_fit(args) -> int:
     meta_setting = dataset.provenance.get("setting")
     if meta_model is None or meta_setting is None:
         raise ConfigurationError("dataset metadata lacks the generating model description")
-    setting = _require(cfg, "setting", "fit config")
+    setting = _field(cfg, "setting", str, where)
     if setting != meta_setting:
         raise ConfigurationError(
             f"config setting {setting!r} does not match the dataset's generating "
             f"setting {meta_setting!r}; refusing to fit mismatched provenance"
         )
     truth_model = model_from_dict(meta_model)
-    seed = args.seed if args.seed is not None else int(_require(cfg, "seed", "fit config"))
-    fit_config = _fit_config_from(_require(cfg, "fit", "fit config"), setting, seed, "fit config.fit")
-    if fit_config.init.kind == "oracle_perturb":
-        from dataclasses import replace
-
-        fit_config = replace(
-            fit_config, init=replace(fit_config.init, reference=truth_model.measure)
-        )
-    result = fit(dataset, truth_model.bank, truth_model.proj, fit_config)
+    fit_config = _fit_config_from(_field(cfg, "fit", dict, where), _seed(args.seed, cfg, where), f"{where}.fit")
+    loss_name, loss_fn = loss_for_setting(setting, _field(cfg, "voronoi_r", int, where, 2))
+    result = fit(dataset, truth_model.bank, truth_model.proj, truth_model.measure, fit_config)
     payload = {
         "version": 1,
         "setting": setting,
-        "dataset": cfg["dataset"],
+        "dataset": dataset_name,
         "fit": result.to_dict(),
         "estimator_note": ESTIMATOR_NOTE,
     }
     if not result.failed:
-        loss_name, loss_fn = loss_for_setting(setting, int(cfg.get("voronoi_r", 2)))
         payload["loss_name"] = loss_name
         payload["voronoi_loss_vs_reference"] = loss_fn(result.measure, truth_model.measure)
         if args.grad_check:

@@ -5,10 +5,11 @@ responses and the gated-mixture regression function. The residual
 Jacobian is analytic (the gradient is ``2 J^T r``); the solver is scipy's
 bounded trust-region reflective least squares (``least_squares``,
 ``method="trf"``, default tolerances) on the box [-box_bound, box_bound].
-Initialization is either multistart (seeded random draws)
-or a perturbation of a reference measure; the latter is the default for
-rate experiments because the theory speaks about the global least-squares
-minimizer, which restart heuristics cannot certify.
+Every fit starts from one point: the reference measure passed to ``fit``
+(in practice the generating measure), cycled over the atom budget with
+weights split among copies, plus Gaussian noise of scale ``config.scale``.
+The theory speaks about the global least-squares minimizer, which random
+restarts cannot certify, so there is no multistart.
 
 Flat parameter layout (``pack_parameters``): atoms in order, each as its
 log-weight followed by the variant's ``atom_fields`` (key prompt then value
@@ -21,8 +22,7 @@ measure's declared fields and its ``prompt_map``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -30,7 +30,6 @@ from scipy.optimize import least_squares
 from .errors import ConfigurationError
 from .model import (
     Dataset,
-    MEASURE_VARIANTS,
     PretrainedBank,
     ProjectionPair,
     _predict,
@@ -38,7 +37,6 @@ from .model import (
 )
 
 __all__ = [
-    "InitSpec",
     "FitConfig",
     "FitResult",
     "ESTIMATOR_NOTE",
@@ -55,7 +53,7 @@ __all__ = [
 ESTIMATOR_NOTE = (
     "Rate experiments initialize at a perturbation of the generating measure: "
     "the theory concerns the global least-squares minimizer, which multistart "
-    "heuristics cannot certify. Multistart fits remain available for honesty runs."
+    "heuristics cannot certify."
 )
 
 
@@ -68,59 +66,27 @@ SOLVER_TOLERANCES = {"ftol": 1e-8, "xtol": 1e-8, "gtol": 1e-8}
 
 
 @dataclass(frozen=True)
-class InitSpec:
-    """How to initialize the optimizer.
-
-    ``multistart``: ``restarts`` independent seeded random draws.
-    ``oracle_perturb``: one start at ``reference`` (cycled over the atom
-    budget with weights split among copies) plus Gaussian noise of scale
-    ``scale`` on every coordinate.
-    """
-
-    kind: str
-    restarts: int = 16
-    scale: float = 0.1
-    reference: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("multistart", "oracle_perturb"):
-            raise ConfigurationError(f"unknown init kind {self.kind!r}")
-        if self.kind == "multistart" and self.restarts < 1:
-            raise ConfigurationError("multistart needs at least one restart")
-        if self.scale < 0:
-            raise ConfigurationError("perturbation scale must be nonnegative")
-
-    @classmethod
-    def multistart(cls, restarts: int = 16) -> "InitSpec":
-        return cls("multistart", restarts=restarts)
-
-    @classmethod
-    def oracle_perturb(cls, scale: float = 0.1, reference=None) -> "InitSpec":
-        return cls("oracle_perturb", scale=scale, reference=reference)
-
-
-@dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit needs besides the data and the frozen components.
+    """Everything a fit needs besides the data, the frozen components and
+    the reference measure it starts from.
 
-    The solver stops on ``SOLVER_TOLERANCES``, which counts as convergence,
-    or after ``max_iters`` residual evaluations, which does not.
+    The start is the reference plus Gaussian noise of scale ``scale`` on
+    every coordinate. The solver stops on ``SOLVER_TOLERANCES``, which
+    counts as convergence, or after ``max_iters`` residual evaluations,
+    which does not.
     """
 
-    setting: str
     atom_budget: int
-    init: InitSpec
+    scale: float = 0.1
     max_iters: int = 20000
     box_bound: float = 5.0
     seed: int = 0
-    latent_dim: Optional[int] = None
-    activations: tuple = ("tanh", "tanh")
 
     def __post_init__(self):
-        if self.setting not in MEASURE_VARIANTS:
-            raise ConfigurationError(f"unknown setting {self.setting!r}")
         if self.atom_budget < 1:
             raise ConfigurationError("atom budget must be at least 1")
+        if self.scale < 0:
+            raise ConfigurationError("perturbation scale must be nonnegative")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
         if self.box_bound <= 0:
@@ -129,22 +95,20 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-of-restarts estimate with diagnostics.
+    """Least-squares estimate with diagnostics.
 
-    ``failed`` is set when every restart aborted on a non-finite
-    objective; the measure is then the last attempted initialization.
+    ``failed`` is set when the start gave a non-finite residual or
+    Jacobian; the measure is then that start.
     """
 
     measure: object
     final_objective: float
     iterations: int
     converged: bool
-    restarts_used: int
     gradient_norm: float
     warnings: tuple = ()
     failed: bool = False
     failure_reason: str = ""
-    restart_objectives: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -152,14 +116,10 @@ class FitResult:
             "final_objective": float(self.final_objective),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
-            "restarts_used": int(self.restarts_used),
             "gradient_norm": float(self.gradient_norm),
             "warnings": list(self.warnings),
             "failed": bool(self.failed),
             "failure_reason": self.failure_reason,
-            "restart_objectives": [
-                None if not math.isfinite(v) else float(v) for v in self.restart_objectives
-            ],
         }
 
 
@@ -289,56 +249,17 @@ def gradient_check(
 # initialization
 
 
-def _split_counts(budget: int, n_ref: int) -> np.ndarray:
-    idx = np.arange(budget) % n_ref
-    counts = np.bincount(idx, minlength=n_ref)
-    return idx, counts
-
-
 def _perturbed_init(reference, budget: int, scale: float, rng):
-    idx, counts = _split_counts(budget, reference.n_atoms)
+    """The reference cycled over ``budget`` atoms, each weight split among
+    its copies, plus Gaussian noise of scale ``scale`` on every coordinate."""
+    idx = np.arange(budget) % reference.n_atoms
+    counts = np.bincount(idx, minlength=reference.n_atoms)
     log_w = reference.log_weights[idx] - np.log(counts[idx]) + scale * rng.standard_normal(budget)
     names = reference.atom_fields + reference.shared_fields
     starts = [getattr(reference, name)[idx] for name in reference.atom_fields]
     starts += [getattr(reference, name) for name in reference.shared_fields]
     arrays = [start + scale * rng.standard_normal(start.shape) for start in starts]
     return replace(reference, log_weights=log_w, **dict(zip(names, arrays)))
-
-
-def _random_init(config: FitConfig, dim: int, rng):
-    cls = MEASURE_VARIANTS[config.setting]
-    if cls.shared_fields and config.latent_dim is None:
-        raise ConfigurationError("multistart for the latent variant needs latent_dim")
-    # atoms live in the latent space of the shared maps when there are any
-    width = config.latent_dim if cls.shared_fields else dim
-    budget = config.atom_budget
-    log_w = rng.uniform(-1.0, 1.0, size=budget)
-    arrays = {name: rng.standard_normal((dim, width)) / math.sqrt(width) for name in cls.shared_fields}
-    arrays.update((name, rng.uniform(-2.0, 2.0, size=(budget, width))) for name in cls.atom_fields)
-    # the remaining fields (the latent variant's act1, act2) come from the config
-    rest = [f.name for f in fields(cls) if f.name not in arrays and f.name != "log_weights"]
-    return cls(log_weights=log_w, **arrays, **dict(zip(rest, config.activations)))
-
-
-def _build_inits(config: FitConfig, dim: int, rng):
-    warnings_out = []
-    if config.init.kind == "oracle_perturb":
-        reference = config.init.reference
-        if reference is None:
-            raise ConfigurationError("oracle_perturb initialization needs a reference measure")
-        if reference.variant != config.setting:
-            raise ConfigurationError(
-                f"reference variant {reference.variant!r} != setting {config.setting!r}"
-            )
-        if config.atom_budget < reference.n_atoms:
-            warnings_out.append(
-                f"atom budget {config.atom_budget} is below the reference atom count "
-                f"{reference.n_atoms}; the overspecified protocol expects at least as many"
-            )
-        inits = [_perturbed_init(reference, config.atom_budget, config.init.scale, rng)]
-    else:
-        inits = [_random_init(config, dim, rng) for _ in range(config.init.restarts)]
-    return inits, warnings_out
 
 
 # --------------------------------------------------------------------------
@@ -380,57 +301,47 @@ def _minimize(problem: _Problem, theta0: np.ndarray, max_iters: int, box_bound: 
 # fit
 
 
-def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, config: FitConfig) -> FitResult:
-    """Least-squares fit of a mixing measure; best restart wins.
+def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, reference, config: FitConfig) -> FitResult:
+    """Least-squares fit of a mixing measure of the reference's variant,
+    started at a perturbation of ``reference``.
 
-    Deterministic given (dataset, config): all randomness flows from
-    ``config.seed``. Restarts that hit a non-finite objective are aborted
-    and recorded; if every restart aborts the result is marked ``failed``.
+    Deterministic given (dataset, reference, config): all randomness flows
+    from ``config.seed``. A start with a non-finite residual is not
+    optimized; the result is then marked ``failed``.
     """
+    warnings_out = ()
+    if config.atom_budget < reference.n_atoms:
+        warnings_out = (
+            f"atom budget {config.atom_budget} is below the reference atom count "
+            f"{reference.n_atoms}; the overspecified protocol expects at least as many",
+        )
     rng = np.random.default_rng(int(config.seed))
-    inits, warnings_out = _build_inits(config, proj.dim, rng)
-    if not inits[0].satisfies_curvature:
+    start = _perturbed_init(reference, config.atom_budget, config.scale, rng)
+    if not start.satisfies_curvature:
         raise ConfigurationError(
             "the value-side activation has identically zero second derivative; "
             "estimation requires a curved activation such as tanh"
         )
 
-    problem = _Problem(inits[0], bank, proj, dataset)
-    best = None
-    restart_objectives = []
-    last_init = inits[0]
-    for init_measure in inits:
-        last_init = init_measure
-        outcome = _minimize(problem, pack_parameters(init_measure), config.max_iters, config.box_bound)
-        if outcome is None:
-            restart_objectives.append(math.nan)
-            continue
-        restart_objectives.append(outcome[1])
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-
-    if best is None:
+    problem = _Problem(start, bank, proj, dataset)
+    outcome = _minimize(problem, pack_parameters(start), config.max_iters, config.box_bound)
+    if outcome is None:
         return FitResult(
-            measure=last_init,
+            measure=start,
             final_objective=math.nan,
             iterations=0,
             converged=False,
-            restarts_used=len(inits),
             gradient_norm=math.nan,
-            warnings=tuple(warnings_out),
+            warnings=warnings_out,
             failed=True,
-            failure_reason="every restart aborted on a non-finite objective",
-            restart_objectives=tuple(restart_objectives),
+            failure_reason="the start gave a non-finite residual or Jacobian",
         )
-
-    theta, value, iterations, converged, grad_norm = best
+    theta, value, iterations, converged, grad_norm = outcome
     return FitResult(
-        measure=unpack_parameters(theta, inits[0]),
+        measure=unpack_parameters(theta, start),
         final_objective=value,
         iterations=iterations,
         converged=converged,
-        restarts_used=len(inits),
         gradient_norm=grad_norm,
-        warnings=tuple(warnings_out),
-        restart_objectives=tuple(restart_objectives),
+        warnings=warnings_out,
     )

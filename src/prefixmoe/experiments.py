@@ -182,8 +182,7 @@ class SweepSpec:
     """A rate experiment: one truth, a sample-size grid, and a fit recipe.
 
     ``fit_config`` acts as a template: its seed is replaced per cell, and
-    for oracle-perturbed initialization without an explicit reference the
-    truth measure is injected automatically.
+    every fit starts at a perturbation of the truth measure.
     """
 
     setting: str
@@ -205,8 +204,6 @@ class SweepSpec:
             raise ConfigurationError(
                 f"setting {self.setting!r} != truth variant {self.truth.measure.variant!r}"
             )
-        if self.fit_config.setting != self.setting:
-            raise ConfigurationError("fit_config setting differs from sweep setting")
 
     def cell_seeds(self, n: int, rep: int) -> dict:
         return {
@@ -215,7 +212,6 @@ class SweepSpec:
         }
 
     def echo(self) -> dict:
-        init = self.fit_config.init
         return {
             "setting": self.setting,
             "sample_sizes": list(self.sample_sizes),
@@ -224,9 +220,9 @@ class SweepSpec:
             "seed": self.seed,
             "voronoi_r": self.voronoi_r,
             "fit_config": {
-                "setting": self.fit_config.setting,
+                "setting": self.setting,
                 "atom_budget": self.fit_config.atom_budget,
-                "init": {"kind": init.kind, "restarts": init.restarts, "scale": init.scale},
+                "init": {"kind": "oracle_perturb", "scale": self.fit_config.scale},
                 "box_bound": self.fit_config.box_bound,
                 "optimizer": {
                     "solver": "trf",
@@ -301,17 +297,11 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _resolved_fit_config(spec: SweepSpec, seed: int) -> FitConfig:
-    cfg = replace(spec.fit_config, seed=seed)
-    if cfg.init.kind == "oracle_perturb" and cfg.init.reference is None:
-        cfg = replace(cfg, init=replace(cfg.init, reference=spec.truth.measure))
-    return cfg
-
-
 def _run_cell(spec: SweepSpec, loss_name: str, loss_fn, truth_fn, n: int, rep: int) -> dict:
     seeds = spec.cell_seeds(n, rep)
     dataset = gen_dataset(spec.truth, n, seeds["data"])
-    result = fit(dataset, spec.truth.bank, spec.truth.proj, _resolved_fit_config(spec, seeds["fit"]))
+    fit_config = replace(spec.fit_config, seed=seeds["fit"])
+    result = fit(dataset, spec.truth.bank, spec.truth.proj, spec.truth.measure, fit_config)
     row = {
         "setting": spec.setting,
         "n": n,

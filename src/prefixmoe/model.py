@@ -117,8 +117,9 @@ class PretrainedBank:
     """Frozen bank of gating quadratic forms, biases, and expert parameters.
 
     gate_mats: (n_experts, dim, dim), gate_biases: (n_experts,),
-    expert_params: (n_experts, dim) for linear experts eta^T x, or
-    (n_experts, dim + 1) for affine experts with a trailing offset.
+    expert_params: (n_experts, dim) for the linear experts eta^T x.
+    ``expert_form`` is kept in the bank format, but "linear" is its only
+    value.
     """
 
     gate_mats: np.ndarray
@@ -133,12 +134,11 @@ class PretrainedBank:
         n, dim = mats.shape[0], mats.shape[1]
         if n < 1:
             raise ConfigurationError("bank needs at least one expert")
-        if self.expert_form not in ("linear", "affine"):
-            raise ConfigurationError(f"unknown expert_form {self.expert_form!r}")
-        width = dim if self.expert_form == "linear" else dim + 1
+        if self.expert_form != "linear":
+            raise ConfigurationError(f"unknown expert_form {self.expert_form!r}; the only form is 'linear'")
         object.__setattr__(self, "gate_mats", frozen_array(mats, (n, dim, dim), "gate_mats"))
         object.__setattr__(self, "gate_biases", frozen_array(self.gate_biases, (n,), "gate_biases"))
-        object.__setattr__(self, "expert_params", frozen_array(self.expert_params, (n, width), "expert_params"))
+        object.__setattr__(self, "expert_params", frozen_array(self.expert_params, (n, dim), "expert_params"))
 
     @property
     def n_experts(self) -> int:
@@ -157,8 +157,6 @@ class PretrainedBank:
         mats = 0.1 * 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
         biases = rng.uniform(-0.5, 0.5, size=n_experts)
         eta = rng.standard_normal((n_experts, dim)) / math.sqrt(dim)
-        if expert_form == "affine":
-            eta = np.hstack([eta, rng.uniform(-0.5, 0.5, size=(n_experts, 1))])
         return cls(mats, biases, eta, expert_form)
 
     def gate_logits(self, x2d: np.ndarray) -> np.ndarray:
@@ -167,10 +165,8 @@ class PretrainedBank:
         return quad + self.gate_biases
 
     def expert_values(self, x2d: np.ndarray) -> np.ndarray:
-        """Per-sample expert outputs h(x, eta_j), shape (n_samples, n_experts)."""
-        if self.expert_form == "linear":
-            return x2d @ self.expert_params.T
-        return x2d @ self.expert_params[:, :-1].T + self.expert_params[:, -1]
+        """Per-sample expert outputs eta_j^T x, shape (n_samples, n_experts)."""
+        return x2d @ self.expert_params.T
 
 
 @dataclass(frozen=True)
@@ -332,7 +328,7 @@ class NeuralSharedMeasure(_Measure):
     def __post_init__(self):
         super().__post_init__()
         if self.prompts.shape[1] != self.w1.shape[1]:
-            raise ConfigurationError("prompts must be (n_atoms, latent_dim)")
+            raise ConfigurationError("prompts must be (n_atoms, w1.shape[1])")
         for name in (self.act1, self.act2):
             if name not in ACTIVATIONS:
                 raise ConfigurationError(f"unknown activation {name!r}")

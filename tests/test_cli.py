@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefixmoe.cli import main
+from prefixmoe.cli import _fit_config_from, _sweep_spec_from, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,7 +155,7 @@ def test_fit_refuses_mismatched_setting(tmp_path, capsys):
             "dataset": "dataset.csv",
             "setting": "non_shared",
             "seed": 7,
-            "fit": {"atom_budget": 2, "init": {"kind": "multistart", "restarts": 1}},
+            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
         },
     )
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
@@ -210,6 +210,64 @@ def test_fit_block_that_is_not_an_object_exits_2(tmp_path, capsys, block):
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
     assert not (out / "fit_result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("fit", "max_iters", 500),  # belongs in the optimizer block
+        ("fit", "activations", ["tanh", "tanh"]),
+        ("init", "restarts", 16),
+        ("init", "kind", "multistart"),
+    ],
+    ids=["max_iters", "activations", "restarts", "multistart"],
+)
+def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, value):
+    gen_cfg = write_config(
+        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
+    )
+    out = tmp_path / "run"
+    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
+    data = {
+        "version": 1,
+        "dataset": "dataset.csv",
+        "setting": "linear_shared",
+        "seed": 7,
+        "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
+    }
+    (data["fit"] if block == "fit" else data["fit"]["init"])[key] = value
+    fit_cfg = write_config(tmp_path, "fit.json", data)
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert repr(value if key == "kind" else key) in err
+    assert not (out / "fit_result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("fit_linear.json", ("dataset",), 5),
+        ("fit_linear.json", ("fit", "init", "scale"), "abc"),
+        ("fit_linear.json", ("fit", "atom_budget"), "x"),
+        ("witness.json", ("sample_sizes",), 5),
+        ("smoke_sweep.json", ("replications",), "two"),
+        ("equiv.json", ("trials",), None),
+    ],
+    ids=["fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials"],
+)
+def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value):
+    data = json.loads((CONFIGS / name).read_text())
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg = write_config(tmp_path, name, data)
+    out = tmp_path / "out"
+    command = {"fit_linear.json": "fit", "witness.json": "witness", "smoke_sweep.json": "sweep", "equiv.json": "equiv"}[name]
+    if command == "fit":
+        assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
+    assert main([command, "--config", str(cfg), "--output-dir", str(out), "--force"]) == 2
+    assert f"field {path[-1]!r}" in capsys.readouterr().err
 
 
 def test_fit_result_does_not_depend_on_output_dir(tmp_path):
@@ -432,8 +490,14 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     ],
 )
 def test_bundled_configs_parse(name):
+    # the fit and sweep configs go through the command's own parsers, so
+    # their field names and types are checked as a run would check them
     data = json.loads((CONFIGS / name).read_text())
     assert data["version"] == 1
+    if name == "fit_linear.json":
+        assert _fit_config_from(data["fit"], data["seed"], "fit config.fit").atom_budget == 3
+    elif "replications" in data:
+        assert _sweep_spec_from(data, None).setting == data["setting"]
 
 
 def test_bundled_smoke_sweep_runs_deterministically(tmp_path):

@@ -11,7 +11,6 @@ from prefixmoe import (
     ConfigurationError,
     Dataset,
     FitConfig,
-    InitSpec,
     LinearSharedMeasure,
     NeuralSharedMeasure,
     NonSharedMeasure,
@@ -176,8 +175,7 @@ def test_oracle_start_at_truth_converges_immediately():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 300, seed=11)
-    config = FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.0, truth), seed=0)
-    result = fit(ds, bank, proj, config)
+    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0, seed=0))
     assert result.converged and not result.failed
     assert result.final_objective <= 1e-16 * 300
     assert loss_d2(result.measure, truth) <= 1e-8
@@ -190,8 +188,7 @@ def test_oracle_split_start_is_still_a_global_minimum():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 100, seed=12)
-    config = FitConfig("linear_shared", 4, InitSpec.oracle_perturb(0.0, truth), seed=0)
-    result = fit(ds, bank, proj, config)
+    result = fit(ds, bank, proj, truth, FitConfig(4, scale=0.0, seed=0))
     assert result.final_objective <= 1e-16 * 100
 
 
@@ -199,16 +196,10 @@ def test_noiseless_perturbed_start_recovers_truth():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 500, seed=13)
-    config = FitConfig(
-        "linear_shared",
-        2,
-        InitSpec.oracle_perturb(0.05, truth),
-        seed=1,
-    )
-    result = fit(ds, bank, proj, config)
+    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.05, seed=1))
     assert not result.failed
     assert loss_d2(result.measure, truth) <= 1e-4
-    reference = fit(ds, bank, proj, FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.0, truth), seed=1))
+    reference = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0, seed=1))
     assert result.final_objective <= reference.final_objective + 1e-6
 
 
@@ -216,41 +207,17 @@ def test_budget_below_reference_count_records_warning():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 50, seed=14)
-    config = FitConfig("linear_shared", 1, InitSpec.oracle_perturb(0.1, truth), seed=2)
-    result = fit(ds, bank, proj, config)
+    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1, seed=2))
     assert any("budget" in w for w in result.warnings)
-
-
-def test_multistart_reports_minimum_of_restart_objectives():
-    bank, proj = make_parts()
-    truth = LinearSharedMeasure([0.0], [[1.0, -0.5]])
-    ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 80, seed=15)
-    config = FitConfig(
-        "linear_shared",
-        1,
-        InitSpec.multistart(4),
-        max_iters=800,
-        seed=3,
-    )
-    result = fit(ds, bank, proj, config)
-    assert result.restarts_used == 4
-    finite = [v for v in result.restart_objectives if not math.isnan(v)]
-    assert result.final_objective == min(finite)
 
 
 def test_fitted_parameters_respect_the_box():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0], [[2.4, -1.8]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.05), 120, seed=16)
-    config = FitConfig(
-        "linear_shared",
-        1,
-        InitSpec.multistart(2),
-        max_iters=500,
-        box_bound=0.5,
-        seed=4,
-    )
-    result = fit(ds, bank, proj, config)
+    # the truth lies outside the box, so the start is clipped and the box binds
+    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1, max_iters=500, box_bound=0.5, seed=4))
+    assert not result.failed
     assert np.abs(pack_parameters(result.measure)).max() <= 0.5 + 1e-12
 
 
@@ -258,15 +225,9 @@ def test_fit_is_bitwise_deterministic():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 150, seed=17)
-    config = FitConfig(
-        "linear_shared",
-        3,
-        InitSpec.oracle_perturb(0.1, truth),
-        max_iters=2000,
-        seed=5,
-    )
-    a = fit(ds, bank, proj, config)
-    b = fit(ds, bank, proj, config)
+    config = FitConfig(3, scale=0.1, max_iters=2000, seed=5)
+    a = fit(ds, bank, proj, truth, config)
+    b = fit(ds, bank, proj, truth, config)
     assert a.to_dict() == b.to_dict()
 
 
@@ -275,11 +236,10 @@ def test_non_finite_data_marks_fit_failed():
     x = np.random.default_rng(0).uniform(-1, 1, size=(10, 2))
     y = np.full(10, np.nan)
     ds = Dataset(x, y, 0, {})
-    config = FitConfig("linear_shared", 1, InitSpec.multistart(2), seed=6)
-    result = fit(ds, bank, proj, config)
-    assert result.failed
-    assert result.restarts_used == 2
-    assert all(math.isnan(v) for v in result.restart_objectives)
+    reference = LinearSharedMeasure([0.0], [[1.0, -0.5]])
+    result = fit(ds, bank, proj, reference, FitConfig(1, scale=0.1, seed=6))
+    assert result.failed and result.failure_reason
+    assert math.isnan(result.final_objective) and not result.converged
 
 
 def test_latent_fit_rejects_flat_value_activation():
@@ -289,26 +249,16 @@ def test_latent_fit_rejects_flat_value_activation():
         np.eye(2), np.eye(2), [0.0], rng.normal(size=(1, 2)), "tanh", "identity"
     )
     ds = gen_dataset(RegressionModel(bank, proj, reference, 0.1), 30, seed=18)
-    config = FitConfig("neural_shared", 1, InitSpec.oracle_perturb(0.1, reference), seed=7)
     with pytest.raises(ConfigurationError):
-        fit(ds, bank, proj, config)
-
-
-def test_latent_multistart_needs_latent_dim():
-    bank, proj = make_parts()
-    truth = LinearSharedMeasure([0.0], [[1.0, -0.5]])
-    ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 30, seed=19)
-    config = FitConfig("neural_shared", 1, InitSpec.multistart(1), seed=8)
-    with pytest.raises(ConfigurationError):
-        fit(ds, bank, proj, config)
+        fit(ds, bank, proj, reference, FitConfig(1, scale=0.1, seed=7))
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        FitConfig("linear_shared", 0, InitSpec.multistart(1))
+        FitConfig(0)
     with pytest.raises(ConfigurationError):
-        FitConfig("linear_shared", 1, InitSpec.multistart(1), max_iters=0)
+        FitConfig(1, max_iters=0)
     with pytest.raises(ConfigurationError):
-        InitSpec("oracle_perturb", scale=-0.1)
+        FitConfig(1, scale=-0.1)
     with pytest.raises(ConfigurationError):
-        InitSpec("nonsense")
+        FitConfig(1, box_bound=0.0)

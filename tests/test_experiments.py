@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from prefixmoe import (
     ConfigurationError,
     FitConfig,
-    InitSpec,
     InputLaw,
     LinearSharedMeasure,
     NonSharedMeasure,
@@ -31,7 +31,7 @@ from prefixmoe import (
 )
 from prefixmoe import experiments
 from prefixmoe.cli import _sweep_spec_from
-from prefixmoe.experiments import SweepSpec, _resolved_fit_config
+from prefixmoe.experiments import SweepSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,7 +68,7 @@ def test_sixteen_nodes_agree_with_twenty_four_on_fitted_measures(name, monkeypat
     spec = _sweep_spec_from(json.loads((CONFIGS / name).read_text()), None)
     model = spec.truth
     dataset = gen_dataset(model, 200, child_seed(spec.seed, 200, 0, "data"))
-    result = fit(dataset, model.bank, model.proj, _resolved_fit_config(spec, 0))
+    result = fit(dataset, model.bank, model.proj, model.measure, replace(spec.fit_config, seed=0))
     assert not result.failed
     fitted = regression_fn(model.bank, model.proj, result.measure)
     truth = regression_fn(model.bank, model.proj, model.measure)
@@ -206,7 +206,7 @@ def test_noiseless_oracle_sweep_has_zero_losses():
         truth=model,
         sample_sizes=(100,),
         replications=1,
-        fit_config=FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.0), seed=0),
+        fit_config=FitConfig(2, scale=0.0, seed=0),
         seed=11,
     )
     result = run_sweep(spec)
@@ -224,13 +224,7 @@ def test_sweep_serialization_is_reproducible():
         truth=model,
         sample_sizes=(60, 90),
         replications=2,
-        fit_config=FitConfig(
-            "linear_shared",
-            3,
-            InitSpec.oracle_perturb(0.1),
-            max_iters=400,
-            seed=0,
-        ),
+        fit_config=FitConfig(3, scale=0.1, max_iters=400, seed=0),
         seed=21,
     )
     a = run_sweep(spec)
@@ -263,7 +257,7 @@ def test_sweep_rejects_non_identifiable_truth():
         truth=model,
         sample_sizes=(50,),
         replications=1,
-        fit_config=FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.1), seed=0),
+        fit_config=FitConfig(2, scale=0.1, seed=0),
         seed=5,
     )
     with pytest.raises(ConfigurationError):
@@ -273,7 +267,7 @@ def test_sweep_rejects_non_identifiable_truth():
 def test_sweep_spec_validation():
     bank, proj, truth = tiny_parts()
     model = RegressionModel(bank, proj, truth, noise_sd=0.1)
-    cfg = FitConfig("linear_shared", 2, InitSpec.oracle_perturb(0.1), seed=0)
+    cfg = FitConfig(2, scale=0.1, seed=0)
     with pytest.raises(ConfigurationError):
         SweepSpec("linear_shared", model, (100, 100), 1, cfg, 1)
     with pytest.raises(ConfigurationError):

@@ -229,6 +229,16 @@ def test_unknown_input_law_kind_is_configuration_error():
         model_from_dict(data)
 
 
+def test_affine_expert_form_is_configuration_error():
+    with pytest.raises(ConfigurationError, match="expert_form"):
+        PretrainedBank.random(2, 2, seed=1, expert_form="affine")
+    data = model_to_dict(RegressionModel(zero_bank(), make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), 0.1))
+    assert data["bank"]["expert_form"] == "linear"
+    data["bank"] = {"random": {"n_experts": 2, "dim": 2, "seed": 1, "expert_form": "affine"}}
+    with pytest.raises(ConfigurationError, match="expert_form"):
+        model_from_dict(data)
+
+
 def test_dataset_round_trips_through_csv(tmp_path):
     bank = PretrainedBank.random(2, 2, seed=1)
     model = RegressionModel(bank, make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.2)
