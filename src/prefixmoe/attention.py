@@ -2,10 +2,12 @@
 per-head mixture-of-experts decompositions used as numerical cross-checks.
 
 Conventions: embeddings are rows, a sequence is an (n_tokens, dim) array,
-and every attention logit is divided by sqrt(d_head). All functions here
-are pure; the two decompositions deliberately associate the matrix
-products differently from the forward passes so that agreement between the
-two routes is a meaningful floating-point check rather than a tautology.
+and every attention logit is divided by sqrt(d_head). Prompt tuning is
+prefix tuning whose prompt rows are also queried, so one path serves both
+modes. All functions here are pure; the decomposition associates its
+scores as q (wq wk^T) k^T, unlike the forward's (q wq)(k wk)^T, so that
+agreement between the two routes is a meaningful floating-point check
+rather than a tautology.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ __all__ = [
     "msa_forward",
     "prefix_forward",
     "prompt_forward",
-    "prefix_head_outputs",
-    "prompt_head_outputs",
-    "prefix_moe_decompose",
-    "prompt_moe_decompose",
+    "head_outputs",
+    "moe_decompose",
     "random_bundle",
     "run_equivalence_trials",
 ]
@@ -106,38 +106,47 @@ class PromptSet:
     def __post_init__(self):
         if self.mode not in ("prompt", "prefix"):
             raise ConfigurationError(f"unknown prompt mode {self.mode!r}")
-        tied = self.p_value is self.p_key
-        pk = np.array(self.p_key, dtype=float)
-        pv = pk if tied else np.array(self.p_value, dtype=float)
-        if pk.ndim != 2 or pv.ndim != 2:
+        pk = frozen_array(self.p_key, name="p_key")
+        if pk.ndim != 2:
             raise ConfigurationError("prompt stacks must be 2-D")
-        if pk.shape != pv.shape:
-            raise ConfigurationError(
-                f"key/value prompt stacks differ in shape: {pk.shape} vs {pv.shape}"
-            )
-        for name, arr in (("p_key", pk), ("p_value", pv)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ConfigurationError(f"{name}: non-finite entries")
-            arr.setflags(write=False)
+        pv = pk if self.p_value is self.p_key else frozen_array(self.p_value, pk.shape, "p_value")
         object.__setattr__(self, "p_key", pk)
         object.__setattr__(self, "p_value", pv)
 
     @classmethod
     def prefix(cls, p_key, p_value) -> "PromptSet":
-        return cls("prefix", np.asarray(p_key, dtype=float), np.asarray(p_value, dtype=float))
+        return cls("prefix", p_key, p_value)
 
     @classmethod
     def prompt(cls, p) -> "PromptSet":
-        arr = np.asarray(p, dtype=float)
-        return cls("prompt", arr, arr)
+        return cls("prompt", p, p)
 
     @property
     def length(self) -> int:
         return self.p_key.shape[0]
 
 
-def _head_outputs(bundle: AttentionBundle, queries, keys, values) -> np.ndarray:
+def _tuned_rows(bundle: AttentionBundle, prompts: PromptSet, mode: str):
+    """(query rows, key prompts, value prompts) of tuned attention.
+
+    The two modes differ in one thing: prompt rows are also query rows in
+    prompt mode, while prefix mode queries with the input rows only. Keys
+    and values are always the prompt rows followed by the input rows.
+    """
+    if prompts.mode != mode:
+        raise UsageError(f"prompt set has mode {prompts.mode!r}, expected {mode!r}")
+    if prompts.length and prompts.p_key.shape[1] != bundle.dim:
+        raise ConfigurationError(f"prompt dim {prompts.p_key.shape[1]} != bundle dim {bundle.dim}")
+    # an empty prompt set of any width adds no rows
+    p_key, p_value = (prompts.p_key, prompts.p_value) if prompts.length else (np.zeros((0, bundle.dim)),) * 2
+    queries = np.vstack([bundle.x, p_key]) if mode == "prompt" else bundle.x
+    return queries, p_key, p_value
+
+
+def _head_outputs(bundle: AttentionBundle, queries, p_key, p_value) -> np.ndarray:
     scale = 1.0 / math.sqrt(bundle.d_head)
+    keys = np.vstack([p_key, bundle.x])
+    values = np.vstack([p_value, bundle.x])
     out = np.empty((bundle.n_heads, queries.shape[0], bundle.d_head))
     for head in range(bundle.n_heads):
         q = queries @ bundle.wq[head]
@@ -151,25 +160,10 @@ def _concat_project(bundle: AttentionBundle, heads: np.ndarray) -> np.ndarray:
     return np.concatenate(list(heads), axis=1) @ bundle.wo
 
 
-def _check_mode(prompts: PromptSet, mode: str) -> None:
-    if prompts.mode != mode:
-        raise UsageError(f"prompt set has mode {prompts.mode!r}, expected {mode!r}")
-
-
-def _prompt_arrays(bundle: AttentionBundle, prompts: PromptSet):
-    if prompts.length == 0:
-        empty = np.zeros((0, bundle.dim))
-        return empty, empty
-    if prompts.p_key.shape[1] != bundle.dim:
-        raise ConfigurationError(
-            f"prompt dim {prompts.p_key.shape[1]} != bundle dim {bundle.dim}"
-        )
-    return prompts.p_key, prompts.p_value
-
-
 def msa_forward(bundle: AttentionBundle) -> np.ndarray:
     """Plain multi-head self-attention output, one row per input token."""
-    return _concat_project(bundle, _head_outputs(bundle, bundle.x, bundle.x, bundle.x))
+    empty = np.zeros((0, bundle.dim))
+    return _concat_project(bundle, _head_outputs(bundle, bundle.x, empty, empty))
 
 
 def prefix_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
@@ -178,7 +172,7 @@ def prefix_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     The output keeps one row per input token; with an empty prompt set the
     stacked keys and values are the input rows, so it equals ``msa_forward``.
     """
-    return _concat_project(bundle, prefix_head_outputs(bundle, prompts))
+    return _concat_project(bundle, _head_outputs(bundle, *_tuned_rows(bundle, prompts, "prefix")))
 
 
 def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
@@ -188,26 +182,14 @@ def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     one row per prompt vector (each prompt row is a fresh mixture over the
     same expanded expert set).
     """
-    return _concat_project(bundle, prompt_head_outputs(bundle, prompts))
+    return _concat_project(bundle, _head_outputs(bundle, *_tuned_rows(bundle, prompts, "prompt")))
 
 
-def prefix_head_outputs(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
-    """Per-head outputs (n_heads, n_tokens, d_head) of prefix attention."""
-    _check_mode(prompts, "prefix")
-    p_key, p_value = _prompt_arrays(bundle, prompts)
-    keys = np.vstack([p_key, bundle.x])
-    values = np.vstack([p_value, bundle.x])
-    return _head_outputs(bundle, bundle.x, keys, values)
-
-
-def prompt_head_outputs(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
-    """Per-head outputs (n_heads, n_tokens + n_prompts, d_head), token rows first."""
-    _check_mode(prompts, "prompt")
-    p, _ = _prompt_arrays(bundle, prompts)
-    queries = np.vstack([bundle.x, p])
-    keys = np.vstack([p, bundle.x])
-    values = np.vstack([p, bundle.x])
-    return _head_outputs(bundle, queries, keys, values)
+def head_outputs(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
+    """Per-head outputs (n_heads, rows, d_head) of tuned attention in the
+    prompt set's mode: one row per input token, then, in prompt mode, one
+    row per prompt."""
+    return _head_outputs(bundle, *_tuned_rows(bundle, prompts, prompts.mode))
 
 
 @dataclass(frozen=True)
@@ -228,49 +210,23 @@ class MoeDecomposition:
         return self.gates @ self.experts
 
 
-def _check_head(bundle: AttentionBundle, head: int) -> None:
-    if not 0 <= head < bundle.n_heads:
-        raise ConfigurationError(f"head {head} out of range for {bundle.n_heads} heads")
-
-
-def prefix_moe_decompose(bundle: AttentionBundle, prompts: PromptSet, head: int = 0) -> MoeDecomposition:
-    """Mixture view of prefix attention for one head.
+def moe_decompose(bundle: AttentionBundle, prompts: PromptSet, head: int = 0) -> MoeDecomposition:
+    """Mixture view of tuned attention for one head, one row per row of
+    ``head_outputs``.
 
     Experts: one per token position (wv^T x_j) followed by one constant
-    expert per prefix value vector (wv^T p_v). Scores pair each token row
-    with every expert through the bilinear form x_i^T (wq wk^T) k divided
-    by sqrt(d_head), where k is the token position or the prefix key.
+    expert per value prompt (wv^T p_v). Scores pair each query row with
+    every expert through the bilinear form q^T (wq wk^T) k divided by
+    sqrt(d_head), where k is the token position or the key prompt. In
+    prompt mode the rows past n_tokens are prompt queries, and their
+    prompt-prompt score block does not depend on the input sequence.
     """
-    _check_mode(prompts, "prefix")
-    _check_head(bundle, head)
-    p_key, p_value = _prompt_arrays(bundle, prompts)
-    core = bundle.wq[head] @ bundle.wk[head].T
-    scale = 1.0 / math.sqrt(bundle.d_head)
-    xc = bundle.x @ core
-    scores = np.hstack([xc @ bundle.x.T, xc @ p_key.T]) * scale
+    if not 0 <= head < bundle.n_heads:
+        raise ConfigurationError(f"head {head} out of range for {bundle.n_heads} heads")
+    queries, p_key, p_value = _tuned_rows(bundle, prompts, prompts.mode)
+    qc = queries @ (bundle.wq[head] @ bundle.wk[head].T)
+    scores = np.hstack([qc @ bundle.x.T, qc @ p_key.T]) * (1.0 / math.sqrt(bundle.d_head))
     experts = np.vstack([bundle.x @ bundle.wv[head], p_value @ bundle.wv[head]])
-    return MoeDecomposition(head, softmax_rows(scores), scores, experts)
-
-
-def prompt_moe_decompose(bundle: AttentionBundle, prompts: PromptSet, head: int = 0) -> MoeDecomposition:
-    """Mixture view of prompt attention for one head, covering every one of
-    the n_tokens + n_prompts output rows.
-
-    Expert order: token positions, then prompt vectors. Rows past n_tokens
-    are fresh mixtures whose scores pair a prompt query with each expert;
-    the prompt-prompt score block does not depend on the input sequence.
-    """
-    _check_mode(prompts, "prompt")
-    _check_head(bundle, head)
-    p, _ = _prompt_arrays(bundle, prompts)
-    core = bundle.wq[head] @ bundle.wk[head].T
-    scale = 1.0 / math.sqrt(bundle.d_head)
-    xc = bundle.x @ core
-    pc = p @ core
-    top = np.hstack([xc @ bundle.x.T, xc @ p.T])
-    bottom = np.hstack([pc @ bundle.x.T, pc @ p.T])
-    scores = np.vstack([top, bottom]) * scale
-    experts = np.vstack([bundle.x @ bundle.wv[head], p @ bundle.wv[head]])
     return MoeDecomposition(head, softmax_rows(scores), scores, experts)
 
 
@@ -314,10 +270,6 @@ class EquivalenceReport:
         }
 
 
-def _rebuild_from_heads(bundle: AttentionBundle, decompositions) -> np.ndarray:
-    return np.concatenate([d.reconstruct() for d in decompositions], axis=1) @ bundle.wo
-
-
 def run_equivalence_trials(
     n_trials: int,
     seed: int,
@@ -329,14 +281,23 @@ def run_equivalence_trials(
 ) -> EquivalenceReport:
     """Randomized cross-check of both tuned forwards against their
     per-head mixture decompositions, tracking the worst absolute deviation
-    of the fully projected outputs.
+    of the fully projected outputs in each mode.
     """
-    if n_trials < 0:
-        raise ConfigurationError("n_trials must be nonnegative")
-    rng = np.random.default_rng(int(seed))
-    worst_prefix = 0.0
-    worst_prompt = 0.0
     head_choices = [int(h) for h in heads]
+    if not head_choices or min(head_choices) < 1:
+        raise ConfigurationError(f"heads must be a non-empty list of positive head counts, got {head_choices}")
+    # every head needs at least one dimension, every bundle at least one token
+    for name, value, least in (
+        ("n_trials", n_trials, 0),
+        ("tolerance", tolerance, 0),
+        ("max_tokens", max_tokens, 1),
+        ("max_dim", max_dim, max(head_choices)),
+        ("max_prompts", max_prompts, 0),
+    ):
+        if not value >= least:
+            raise ConfigurationError(f"{name} must be at least {least}, got {value}")
+    rng = np.random.default_rng(int(seed))
+    worst = {"prefix": 0.0, "prompt": 0.0}
     for _ in range(n_trials):
         m = head_choices[int(rng.integers(0, len(head_choices)))]
         d_head = int(rng.integers(1, max_dim // m + 1))
@@ -349,16 +310,8 @@ def run_equivalence_trials(
             rng.standard_normal((n_prefix, dim)), rng.standard_normal((n_prefix, dim))
         )
         prompt = PromptSet.prompt(rng.standard_normal((n_prompt, dim)))
-
-        direct = prefix_forward(bundle, prefix)
-        rebuilt = _rebuild_from_heads(
-            bundle, [prefix_moe_decompose(bundle, prefix, h) for h in range(m)]
-        )
-        worst_prefix = max(worst_prefix, float(np.abs(direct - rebuilt).max()))
-
-        direct = prompt_forward(bundle, prompt)
-        rebuilt = _rebuild_from_heads(
-            bundle, [prompt_moe_decompose(bundle, prompt, h) for h in range(m)]
-        )
-        worst_prompt = max(worst_prompt, float(np.abs(direct - rebuilt).max()))
-    return EquivalenceReport(n_trials, tolerance, worst_prefix, worst_prompt)
+        for prompts in (prefix, prompt):
+            direct = _concat_project(bundle, head_outputs(bundle, prompts))
+            rebuilt = _concat_project(bundle, [moe_decompose(bundle, prompts, h).reconstruct() for h in range(m)])
+            worst[prompts.mode] = max(worst[prompts.mode], float(np.abs(direct - rebuilt).max()))
+    return EquivalenceReport(n_trials, tolerance, worst["prefix"], worst["prompt"])

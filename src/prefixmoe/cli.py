@@ -16,6 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ._util import config_field, typed_value
 from .errors import ConfigurationError, UsageError
 from .estimation import (
     ESTIMATOR_NOTE,
@@ -65,39 +66,12 @@ def _load_config(path: Path) -> dict:
     return data
 
 
-# the JSON types each conversion accepts; booleans are never numbers
-_JSON_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    list: ((list,), "a JSON list"),
-    dict: ((dict,), "a JSON object"),
-}
-_MISSING = object()
-
-
-def _typed(value, kind, what: str):
-    """``kind(value)``, or a ConfigurationError naming ``what`` when the
-    value has another JSON type."""
-    accepted, label = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigurationError(f"{what} must be {label}, got {value!r}")
-    return kind(value)
-
-
-def _field(cfg: dict, key: str, kind, where: str, default=_MISSING):
-    """Field ``key`` of ``cfg`` as ``kind``; required unless a default is given."""
-    if key not in cfg and default is _MISSING:
-        raise ConfigurationError(f"{where}: missing field {key!r}")
-    return _typed(cfg.get(key, default), kind, f"{where}: field {key!r}")
-
-
-def _int_list(cfg: dict, key: str, where: str, default=_MISSING) -> list:
-    return [_typed(v, int, f"{where}: entry of {key!r}") for v in _field(cfg, key, list, where, default)]
+def _int_list(cfg: dict, key: str, where: str, *default) -> list:
+    return [typed_value(v, int, f"{where}: entry of {key!r}") for v in config_field(cfg, key, list, where, *default)]
 
 
 def _seed(seed_override, cfg: dict, where: str) -> int:
-    return seed_override if seed_override is not None else _field(cfg, "seed", int, where)
+    return seed_override if seed_override is not None else config_field(cfg, "seed", int, where)
 
 
 def _known(cfg: dict, allowed, where: str) -> None:
@@ -111,18 +85,18 @@ def _fit_config_from(cfg: dict, seed: int, where: str) -> FitConfig:
     perturbation of the generating measure, so ``init.kind`` must be
     ``oracle_perturb``."""
     _known(cfg, ("atom_budget", "init", "optimizer", "box_bound"), where)
-    init_cfg = _field(cfg, "init", dict, where)
+    init_cfg = config_field(cfg, "init", dict, where)
     _known(init_cfg, ("kind", "scale"), f"{where}.init")
-    kind = _field(init_cfg, "kind", str, f"{where}.init")
+    kind = config_field(init_cfg, "kind", str, f"{where}.init")
     if kind != "oracle_perturb":
         raise ConfigurationError(f"{where}.init: unknown kind {kind!r}; the only kind is 'oracle_perturb'")
-    opt_cfg = _field(cfg, "optimizer", dict, where, {})
+    opt_cfg = config_field(cfg, "optimizer", dict, where, {})
     _known(opt_cfg, ("max_iters",), f"{where}.optimizer")
     return FitConfig(
-        atom_budget=_field(cfg, "atom_budget", int, where),
-        scale=_field(init_cfg, "scale", float, f"{where}.init", FitConfig.scale),
-        max_iters=_field(opt_cfg, "max_iters", int, f"{where}.optimizer", FitConfig.max_iters),
-        box_bound=_field(cfg, "box_bound", float, where, FitConfig.box_bound),
+        atom_budget=config_field(cfg, "atom_budget", int, where),
+        scale=config_field(init_cfg, "scale", float, f"{where}.init", FitConfig.scale),
+        max_iters=config_field(opt_cfg, "max_iters", int, f"{where}.optimizer", FitConfig.max_iters),
+        box_bound=config_field(cfg, "box_bound", float, where, FitConfig.box_bound),
         seed=seed,
     )
 
@@ -181,13 +155,13 @@ def cmd_equiv(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["equiv_report.json"])
     where = "equiv config"
     report = run_equivalence_trials(
-        n_trials=_field(cfg, "trials", int, where),
+        n_trials=config_field(cfg, "trials", int, where),
         seed=_seed(args.seed, cfg, where),
-        tolerance=_field(cfg, "tolerance", float, where, 1e-9),
-        max_tokens=_field(cfg, "max_tokens", int, where, 8),
-        max_dim=_field(cfg, "max_dim", int, where, 16),
+        tolerance=config_field(cfg, "tolerance", float, where, 1e-9),
+        max_tokens=config_field(cfg, "max_tokens", int, where, 8),
+        max_dim=config_field(cfg, "max_dim", int, where, 16),
         heads=tuple(_int_list(cfg, "heads", where, [1, 2])),
-        max_prompts=_field(cfg, "max_prompts", int, where, 4),
+        max_prompts=config_field(cfg, "max_prompts", int, where, 4),
     )
     (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
     _write_manifest(outdir, "equiv", config_path, args.seed)
@@ -205,13 +179,13 @@ def _sweep_spec_from(cfg: dict, seed_override) -> SweepSpec:
     where = "sweep config"
     seed = _seed(seed_override, cfg, where)
     return SweepSpec(
-        setting=_field(cfg, "setting", str, where),
-        truth=model_from_dict(_field(cfg, "model", dict, where)),
+        setting=config_field(cfg, "setting", str, where),
+        truth=model_from_dict(config_field(cfg, "model", dict, where)),
         sample_sizes=tuple(_int_list(cfg, "sample_sizes", where)),
-        replications=_field(cfg, "replications", int, where),
-        fit_config=_fit_config_from(_field(cfg, "fit", dict, where), seed, f"{where}.fit"),
+        replications=config_field(cfg, "replications", int, where),
+        fit_config=_fit_config_from(config_field(cfg, "fit", dict, where), seed, f"{where}.fit"),
         seed=seed,
-        voronoi_r=_field(cfg, "voronoi_r", int, where, 2),
+        voronoi_r=config_field(cfg, "voronoi_r", int, where, 2),
     )
 
 
@@ -253,10 +227,10 @@ def cmd_sweep(args) -> int:
 def cmd_witness(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["witness_table.csv", "witness_summary.json"])
     where = "witness config"
-    truth_model = model_from_dict(_field(cfg, "model", dict, where))
+    truth_model = model_from_dict(config_field(cfg, "model", dict, where))
     if truth_model.measure.variant != "non_shared":
         raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
-    r = _field(cfg, "r", int, where)
+    r = config_field(cfg, "r", int, where)
     if r < 1:
         raise ConfigurationError("witness config: r must be a positive integer")
     sizes = _int_list(cfg, "sample_sizes", where)
@@ -304,10 +278,10 @@ def cmd_witness(args) -> int:
 def cmd_gen(args) -> int:
     cfg, config_path, outdir = _prepare(args, [])
     where = "gen config"
-    model = model_from_dict(_field(cfg, "model", dict, where))
-    n = _field(cfg, "n", int, where)
+    model = model_from_dict(config_field(cfg, "model", dict, where))
+    n = config_field(cfg, "n", int, where)
     seed = _seed(args.seed, cfg, where)
-    name = _field(cfg, "name", str, where, "dataset")
+    name = config_field(cfg, "name", str, where, "dataset")
     csv_path = outdir / f"{name}.csv"
     _guard_outputs([csv_path, Dataset.meta_path(csv_path)], args.force)
     if model.measure.n_atoms >= 1:
@@ -327,7 +301,7 @@ def cmd_gen(args) -> int:
 def cmd_fit(args) -> int:
     cfg, config_path, outdir = _prepare(args, ["fit_result.json"])
     where = "fit config"
-    dataset_name = _field(cfg, "dataset", str, where)
+    dataset_name = config_field(cfg, "dataset", str, where)
     dataset_path = _resolve(dataset_name, outdir)
     if not dataset_path.is_file():
         raise ConfigurationError(f"dataset file not found: {dataset_path}")
@@ -336,15 +310,16 @@ def cmd_fit(args) -> int:
     meta_setting = dataset.provenance.get("setting")
     if meta_model is None or meta_setting is None:
         raise ConfigurationError("dataset metadata lacks the generating model description")
-    setting = _field(cfg, "setting", str, where)
+    setting = config_field(cfg, "setting", str, where)
     if setting != meta_setting:
         raise ConfigurationError(
             f"config setting {setting!r} does not match the dataset's generating "
             f"setting {meta_setting!r}; refusing to fit mismatched provenance"
         )
     truth_model = model_from_dict(meta_model)
-    fit_config = _fit_config_from(_field(cfg, "fit", dict, where), _seed(args.seed, cfg, where), f"{where}.fit")
-    loss_name, loss_fn = loss_for_setting(setting, _field(cfg, "voronoi_r", int, where, 2))
+    seed = _seed(args.seed, cfg, where)
+    fit_config = _fit_config_from(config_field(cfg, "fit", dict, where), seed, f"{where}.fit")
+    loss_name, loss_fn = loss_for_setting(setting, config_field(cfg, "voronoi_r", int, where, 2))
     result = fit(dataset, truth_model.bank, truth_model.proj, truth_model.measure, fit_config)
     payload = {
         "version": 1,

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from ._util import frozen_array, softmax_rows
+from ._util import config_field, frozen_array, softmax_rows
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -128,7 +128,7 @@ class PretrainedBank:
     expert_form: str = "linear"
 
     def __post_init__(self):
-        mats = np.asarray(self.gate_mats, dtype=float)
+        mats = frozen_array(self.gate_mats, name="gate_mats")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ConfigurationError("gate_mats must be (n_experts, dim, dim)")
         n, dim = mats.shape[0], mats.shape[1]
@@ -136,7 +136,7 @@ class PretrainedBank:
             raise ConfigurationError("bank needs at least one expert")
         if self.expert_form != "linear":
             raise ConfigurationError(f"unknown expert_form {self.expert_form!r}; the only form is 'linear'")
-        object.__setattr__(self, "gate_mats", frozen_array(mats, (n, dim, dim), "gate_mats"))
+        object.__setattr__(self, "gate_mats", mats)
         object.__setattr__(self, "gate_biases", frozen_array(self.gate_biases, (n,), "gate_biases"))
         object.__setattr__(self, "expert_params", frozen_array(self.expert_params, (n, dim), "expert_params"))
 
@@ -181,10 +181,10 @@ class ProjectionPair:
     c: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
+        b = frozen_array(self.b, name="b")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ConfigurationError("b must be a square matrix")
-        c = np.asarray(self.c, dtype=float).reshape(-1)
+        c = frozen_array(self.c, name="c").reshape(-1)
         if c.shape[0] != b.shape[0]:
             raise ConfigurationError(f"c has length {c.shape[0]}, expected {b.shape[0]}")
         smallest = float(np.linalg.svd(b, compute_uv=False)[-1]) if b.size else 0.0
@@ -193,8 +193,8 @@ class ProjectionPair:
                 f"gate projection is numerically rank-deficient (smallest singular value {smallest:.3e})",
                 stacklevel=2,
             )
-        object.__setattr__(self, "b", frozen_array(b, b.shape, "b"))
-        object.__setattr__(self, "c", frozen_array(c, c.shape, "c"))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
@@ -229,14 +229,14 @@ class _Measure:
     shared_fields: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=float).reshape(-1)
-        object.__setattr__(self, "log_weights", frozen_array(lw, lw.shape, "log_weights"))
+        lw = frozen_array(self.log_weights, name="log_weights").reshape(-1)
+        object.__setattr__(self, "log_weights", lw)
         for names in (self.atom_fields, self.shared_fields):
-            arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
+            arrays = [frozen_array(getattr(self, name), name=name) for name in names]
             if any(a.ndim != 2 or a.shape != arrays[0].shape for a in arrays):
                 raise ConfigurationError(f"{', '.join(names)} must be 2-D with equal shapes")
             for name, arr in zip(names, arrays):
-                object.__setattr__(self, name, frozen_array(arr, arr.shape, name))
+                object.__setattr__(self, name, arr)
         if getattr(self, self.atom_fields[0]).shape[0] != lw.shape[0]:
             raise ConfigurationError("atom arrays disagree in shape")
 
@@ -400,9 +400,9 @@ class InputLaw:
     @classmethod
     def from_dict(cls, data: dict) -> "InputLaw":
         return cls(
-            data.get("kind", "uniform"),
-            low=float(data.get("low", -1.0)),
-            high=float(data.get("high", 1.0)),
+            config_field(data, "kind", str, "input_law", "uniform"),
+            low=config_field(data, "low", float, "input_law", -1.0),
+            high=config_field(data, "high", float, "input_law", 1.0),
         )
 
 
@@ -611,12 +611,16 @@ def measure_to_dict(measure) -> dict:
 
 
 def measure_from_dict(data: dict):
-    variant = data.get("variant")
+    variant = config_field(data, "variant", str, "measure")
     if variant not in MEASURE_VARIANTS:
         raise ConfigurationError(f"unknown measure variant {variant!r}")
     cls = MEASURE_VARIANTS[variant]
-    # a missing required field raises KeyError, which model_from_dict reports
-    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
+    arrays = ("log_weights",) + cls.atom_fields + cls.shared_fields
+    return cls(**{
+        f.name: config_field(data, f.name, list if f.name in arrays else str, "measure")
+        for f in fields(cls)
+        if f.name in data or f.default is MISSING
+    })
 
 
 def bank_to_dict(bank: PretrainedBank) -> dict:
@@ -630,18 +634,18 @@ def bank_to_dict(bank: PretrainedBank) -> dict:
 
 def bank_from_dict(data: dict) -> PretrainedBank:
     if "random" in data:
-        spec = data["random"]
+        spec = config_field(data, "random", dict, "bank")
         return PretrainedBank.random(
-            int(spec["n_experts"]),
-            int(spec["dim"]),
-            int(spec["seed"]),
-            spec.get("expert_form", "linear"),
+            config_field(spec, "n_experts", int, "bank.random"),
+            config_field(spec, "dim", int, "bank.random"),
+            config_field(spec, "seed", int, "bank.random"),
+            config_field(spec, "expert_form", str, "bank.random", "linear"),
         )
     return PretrainedBank(
-        data["gate_mats"],
-        data["gate_biases"],
-        data["expert_params"],
-        data.get("expert_form", "linear"),
+        config_field(data, "gate_mats", list, "bank"),
+        config_field(data, "gate_biases", list, "bank"),
+        config_field(data, "expert_params", list, "bank"),
+        config_field(data, "expert_form", str, "bank", "linear"),
     )
 
 
@@ -651,9 +655,10 @@ def proj_to_dict(proj: ProjectionPair) -> dict:
 
 def proj_from_dict(data: dict) -> ProjectionPair:
     if "random" in data:
-        spec = data["random"]
-        return ProjectionPair.random(int(spec["dim"]), int(spec["seed"]))
-    return ProjectionPair(data["b"], data["c"])
+        spec = config_field(data, "random", dict, "proj")
+        dim, seed = (config_field(spec, key, int, "proj.random") for key in ("dim", "seed"))
+        return ProjectionPair.random(dim, seed)
+    return ProjectionPair(config_field(data, "b", list, "proj"), config_field(data, "c", list, "proj"))
 
 
 def model_to_dict(model: RegressionModel) -> dict:
@@ -667,13 +672,10 @@ def model_to_dict(model: RegressionModel) -> dict:
 
 
 def model_from_dict(data: dict) -> RegressionModel:
-    try:
-        return RegressionModel(
-            bank=bank_from_dict(data["bank"]),
-            proj=proj_from_dict(data["proj"]),
-            measure=measure_from_dict(data["measure"]),
-            noise_sd=float(data["noise_sd"]),
-            input_law=InputLaw.from_dict(data.get("input_law", {})),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"model description missing field {exc.args[0]!r}") from exc
+    return RegressionModel(
+        bank=bank_from_dict(config_field(data, "bank", dict, "model")),
+        proj=proj_from_dict(config_field(data, "proj", dict, "model")),
+        measure=measure_from_dict(config_field(data, "measure", dict, "model")),
+        noise_sd=config_field(data, "noise_sd", float, "model"),
+        input_law=InputLaw.from_dict(config_field(data, "input_law", dict, "model", {})),
+    )

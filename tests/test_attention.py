@@ -10,13 +10,11 @@ from prefixmoe import (
     ConfigurationError,
     PromptSet,
     UsageError,
+    head_outputs,
+    moe_decompose,
     msa_forward,
     prefix_forward,
-    prefix_head_outputs,
-    prefix_moe_decompose,
     prompt_forward,
-    prompt_head_outputs,
-    prompt_moe_decompose,
     random_bundle,
     run_equivalence_trials,
 )
@@ -71,10 +69,7 @@ def test_gate_rows_sum_to_one():
     prefix = PromptSet.prefix(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)))
     prompt = PromptSet.prompt(rng.standard_normal((2, 6)))
     for head in range(bundle.n_heads):
-        for dec in (
-            prefix_moe_decompose(bundle, prefix, head),
-            prompt_moe_decompose(bundle, prompt, head),
-        ):
+        for dec in (moe_decompose(bundle, prefix, head), moe_decompose(bundle, prompt, head)):
             np.testing.assert_allclose(dec.gates.sum(axis=1), 1.0, atol=1e-12)
             assert (dec.gates > 0).all()
 
@@ -101,9 +96,9 @@ def test_prefix_decomposition_reconstructs_head_rows():
     rng = np.random.default_rng(13)
     bundle = random_bundle(5, 8, 2, rng)
     prompts = PromptSet.prefix(rng.standard_normal((4, 8)), rng.standard_normal((4, 8)))
-    heads = prefix_head_outputs(bundle, prompts)
+    heads = head_outputs(bundle, prompts)
     for head in range(bundle.n_heads):
-        dec = prefix_moe_decompose(bundle, prompts, head)
+        dec = moe_decompose(bundle, prompts, head)
         assert np.abs(dec.reconstruct() - heads[head]).max() <= 1e-9
 
 
@@ -114,8 +109,8 @@ def test_prefix_expert_outputs_do_not_depend_on_input():
         rng.standard_normal((4, 6)), bundle_a.wq, bundle_a.wk, bundle_a.wv, bundle_a.wo
     )
     prompts = PromptSet.prefix(rng.standard_normal((2, 6)), rng.standard_normal((2, 6)))
-    dec_a = prefix_moe_decompose(bundle_a, prompts)
-    dec_b = prefix_moe_decompose(bundle_b, prompts)
+    dec_a = moe_decompose(bundle_a, prompts)
+    dec_b = moe_decompose(bundle_b, prompts)
     # the last L experts are wv^T p_v, a constant vector per prefix atom
     np.testing.assert_array_equal(dec_a.experts[4:], dec_b.experts[4:])
     np.testing.assert_allclose(dec_a.experts[4:], prompts.p_value @ bundle_a.wv[0], atol=0)
@@ -144,9 +139,9 @@ def test_prompt_decomposition_reconstructs_all_rows():
     rng = np.random.default_rng(31)
     bundle = random_bundle(4, 8, 2, rng)
     prompts = PromptSet.prompt(rng.standard_normal((3, 8)))
-    heads = prompt_head_outputs(bundle, prompts)
+    heads = head_outputs(bundle, prompts)
     for head in range(bundle.n_heads):
-        dec = prompt_moe_decompose(bundle, prompts, head)
+        dec = moe_decompose(bundle, prompts, head)
         assert dec.gates.shape == (7, 7)
         assert np.abs(dec.reconstruct() - heads[head]).max() <= 1e-9
 
@@ -158,9 +153,26 @@ def test_prompt_new_row_scores_independent_of_input():
         rng.standard_normal((4, 6)), bundle_a.wq, bundle_a.wk, bundle_a.wv, bundle_a.wo
     )
     prompts = PromptSet.prompt(rng.standard_normal((3, 6)))
-    scores_a = prompt_moe_decompose(bundle_a, prompts).scores
-    scores_b = prompt_moe_decompose(bundle_b, prompts).scores
+    scores_a = moe_decompose(bundle_a, prompts).scores
+    scores_b = moe_decompose(bundle_b, prompts).scores
     np.testing.assert_array_equal(scores_a[4:, 4:], scores_b[4:, 4:])
+
+
+def test_prompt_tuning_token_rows_are_tied_prefix_tuning():
+    # the one difference between the modes: prompt rows are also queried
+    rng = np.random.default_rng(47)
+    bundle = random_bundle(5, 6, 2, rng)
+    p = rng.standard_normal((3, 6))
+    prompt, tied = PromptSet.prompt(p), PromptSet.prefix(p, p)
+    for head in range(bundle.n_heads):
+        dec_prompt = moe_decompose(bundle, prompt, head)
+        dec_tied = moe_decompose(bundle, tied, head)
+        np.testing.assert_allclose(dec_prompt.gates[:5], dec_tied.gates, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec_prompt.scores[:5], dec_tied.scores, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(dec_prompt.experts, dec_tied.experts)
+    rows = head_outputs(bundle, prompt)
+    assert rows.shape == (2, 8, 3)
+    np.testing.assert_allclose(rows[:, :5], head_outputs(bundle, tied), rtol=0, atol=1e-12)
 
 
 def test_prompt_key_value_views_share_one_array():
@@ -177,7 +189,9 @@ def test_prompt_key_value_views_share_one_array():
 def test_decomposition_exactness_over_random_bundles():
     report = run_equivalence_trials(n_trials=25, seed=2024, tolerance=1e-9)
     assert report.passed, report.to_dict()
-    assert report.max_abs_diff_prefix > 0  # two float paths, not one
+    # two float paths per mode, not one
+    assert report.max_abs_diff_prefix > 0
+    assert report.max_abs_diff_prompt > 0
 
 
 def test_mode_mismatch_is_usage_error():

@@ -252,22 +252,55 @@ def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, v
         ("witness.json", ("sample_sizes",), 5),
         ("smoke_sweep.json", ("replications",), "two"),
         ("equiv.json", ("trials",), None),
+        ("gen_linear.json", ("model", "noise_sd"), "abc"),
+        ("gen_linear.json", ("model", "bank"), 5),
+        ("gen_linear.json", ("model", "measure", "prompts"), "x"),
+        ("gen_linear.json", ("model", "input_law", "low"), "a"),
+        ("gen_linear.json", ("model", "proj", "random", "dim"), "two"),
     ],
-    ids=["fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials"],
+    ids=[
+        "fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials",
+        "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-proj-random-dim",
+    ],
 )
 def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value):
     data = json.loads((CONFIGS / name).read_text())
     block = data
     for key in path[:-1]:
-        block = block[key]
+        block = block.setdefault(key, {})
     block[path[-1]] = value
     cfg = write_config(tmp_path, name, data)
     out = tmp_path / "out"
-    command = {"fit_linear.json": "fit", "witness.json": "witness", "smoke_sweep.json": "sweep", "equiv.json": "equiv"}[name]
+    command = {"fit_linear.json": "fit", "witness.json": "witness", "smoke_sweep.json": "sweep", "equiv.json": "equiv",
+               "gen_linear.json": "gen"}[name]
     if command == "fit":
         assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
     assert main([command, "--config", str(cfg), "--output-dir", str(out), "--force"]) == 2
     assert f"field {path[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("heads", [0], "heads"),
+        ("heads", [], "heads"),
+        ("heads", [32], "max_dim"),
+        ("max_dim", 0, "max_dim"),
+        ("max_tokens", 0, "max_tokens"),
+        ("max_prompts", -1, "max_prompts"),
+        ("tolerance", -1, "tolerance"),
+    ],
+    ids=["heads-zero", "heads-empty", "heads-above-max_dim", "max_dim-zero", "max_tokens-zero", "max_prompts-negative",
+         "tolerance-negative"],
+)
+def test_equiv_field_out_of_range_exits_2(tmp_path, capsys, key, value, named):
+    data = json.loads((CONFIGS / "equiv.json").read_text())
+    data[key] = value
+    cfg = write_config(tmp_path, "equiv.json", data)
+    out = tmp_path / "out"
+    assert main(["equiv", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "equiv_report.json").exists()
 
 
 def test_fit_result_does_not_depend_on_output_dir(tmp_path):
