@@ -1,6 +1,12 @@
-"""Small shared helpers: read-only arrays, row softmax and typed config fields."""
+"""Small shared helpers: read-only arrays, row softmax, typed config fields
+and the JSON form of the lab's dataclasses."""
 
 from __future__ import annotations
+
+import inspect
+import typing
+from dataclasses import fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,3 +59,49 @@ def config_field(cfg: dict, key: str, kind, where: str, default=_MISSING):
     if key not in cfg and default is _MISSING:
         raise ConfigurationError(f"{where}: missing field {key!r}")
     return typed_value(cfg.get(key, default), kind, f"{where}: field {key!r}")
+
+
+def check_keys(cfg: dict, allowed, where: str) -> None:
+    """Refuse any key of ``cfg`` that ``allowed`` does not list."""
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigurationError(f"{where}: unknown field {key!r}")
+
+
+def to_json(obj) -> dict:
+    """The fields of dataclass ``obj`` by name: arrays become nested lists
+    and nested dataclasses objects."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def from_json(build, data: dict, where: str, **readers):
+    """``build(**fields)`` from the JSON object ``data``, the inverse of ``to_json``.
+
+    ``build`` is a dataclass or a constructor with annotated parameters.
+    Arrays are read as JSON lists, scalars by their type, and nested
+    dataclasses as objects, or by ``readers[name](block, where)`` where a
+    field has one. Unknown keys, missing required fields and values of the
+    wrong JSON type are ConfigurationErrors naming them.
+    """
+    params = inspect.signature(build).parameters
+    kinds = typing.get_type_hints(build)
+    check_keys(data, params, where)
+    values = {}
+    for name, param in params.items():
+        if name not in data and param.default is not param.empty:
+            continue
+        kind = kinds[name]
+        if name in readers or is_dataclass(kind):
+            read = readers.get(name, partial(from_json, kind))
+            values[name] = read(config_field(data, name, dict, where), f"{where}.{name}")
+        else:
+            values[name] = config_field(data, name, list if kind is np.ndarray else kind, where)
+    return build(**values)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array, softmax_rows
+from ._util import frozen_array, softmax_rows, to_json
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -261,13 +261,7 @@ class EquivalenceReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "tolerance": self.tolerance,
-            "max_abs_diff_prefix": self.max_abs_diff_prefix,
-            "max_abs_diff_prompt": self.max_abs_diff_prompt,
-            "passed": self.passed,
-        }
+        return {**to_json(self), "passed": self.passed}
 
 
 def run_equivalence_trials(

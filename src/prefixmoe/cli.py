@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import config_field, typed_value
+from ._util import check_keys, config_field, typed_value
 from .errors import ConfigurationError, UsageError
 from .estimation import (
     ESTIMATOR_NOTE,
@@ -58,7 +58,7 @@ def _load_config(path: Path) -> dict:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
-    if data.get("version") != 1:
+    if config_field(data, "version", int, str(path)) != 1:
         raise ConfigurationError(f"{path}: field 'version' must be 1")
     # configs written before the L2 distance became exact name a Monte-Carlo sample count
     for key in data.keys() & {"mc_samples"}:
@@ -74,24 +74,18 @@ def _seed(seed_override, cfg: dict, where: str) -> int:
     return seed_override if seed_override is not None else config_field(cfg, "seed", int, where)
 
 
-def _known(cfg: dict, allowed, where: str) -> None:
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigurationError(f"{where}: unknown field {key!r}")
-
-
 def _fit_config_from(cfg: dict, seed: int, where: str) -> FitConfig:
     """The fit block of a fit or sweep config. Every fit starts at a
     perturbation of the generating measure, so ``init.kind`` must be
     ``oracle_perturb``."""
-    _known(cfg, ("atom_budget", "init", "optimizer", "box_bound"), where)
+    check_keys(cfg, ("atom_budget", "init", "optimizer", "box_bound"), where)
     init_cfg = config_field(cfg, "init", dict, where)
-    _known(init_cfg, ("kind", "scale"), f"{where}.init")
+    check_keys(init_cfg, ("kind", "scale"), f"{where}.init")
     kind = config_field(init_cfg, "kind", str, f"{where}.init")
     if kind != "oracle_perturb":
         raise ConfigurationError(f"{where}.init: unknown kind {kind!r}; the only kind is 'oracle_perturb'")
     opt_cfg = config_field(cfg, "optimizer", dict, where, {})
-    _known(opt_cfg, ("max_iters",), f"{where}.optimizer")
+    check_keys(opt_cfg, ("max_iters",), f"{where}.optimizer")
     return FitConfig(
         atom_budget=config_field(cfg, "atom_budget", int, where),
         scale=config_field(init_cfg, "scale", float, f"{where}.init", FitConfig.scale),
@@ -234,6 +228,8 @@ def cmd_witness(args) -> int:
     if r < 1:
         raise ConfigurationError("witness config: r must be a positive integer")
     sizes = _int_list(cfg, "sample_sizes", where)
+    if not sizes:
+        raise ConfigurationError(f"{where}: field 'sample_sizes' must not be empty")
     seed = _seed(args.seed, cfg, where)
     truth = truth_model.measure
     truth_fn = regression_fn(truth_model.bank, truth_model.proj, truth)
@@ -306,17 +302,15 @@ def cmd_fit(args) -> int:
     if not dataset_path.is_file():
         raise ConfigurationError(f"dataset file not found: {dataset_path}")
     dataset = Dataset.load(dataset_path)
-    meta_model = dataset.provenance.get("model")
-    meta_setting = dataset.provenance.get("setting")
-    if meta_model is None or meta_setting is None:
-        raise ConfigurationError("dataset metadata lacks the generating model description")
+    meta_where = str(Dataset.meta_path(dataset_path))
+    meta_setting = config_field(dataset.provenance, "setting", str, meta_where)
     setting = config_field(cfg, "setting", str, where)
     if setting != meta_setting:
         raise ConfigurationError(
             f"config setting {setting!r} does not match the dataset's generating "
             f"setting {meta_setting!r}; refusing to fit mismatched provenance"
         )
-    truth_model = model_from_dict(meta_model)
+    truth_model = model_from_dict(config_field(dataset.provenance, "model", dict, meta_where))
     seed = _seed(args.seed, cfg, where)
     fit_config = _fit_config_from(config_field(cfg, "fit", dict, where), seed, f"{where}.fit")
     loss_name, loss_fn = loss_for_setting(setting, config_field(cfg, "voronoi_r", int, where, 2))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
+from ._util import to_json
 from .errors import ConfigurationError
 from .model import (
     Dataset,
@@ -111,16 +112,7 @@ class FitResult:
     failure_reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "measure": measure_to_dict(self.measure),
-            "final_objective": float(self.final_objective),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "gradient_norm": float(self.gradient_norm),
-            "warnings": list(self.warnings),
-            "failed": bool(self.failed),
-            "failure_reason": self.failure_reason,
-        }
+        return {**to_json(self), "measure": measure_to_dict(self.measure)}
 
 
 # --------------------------------------------------------------------------

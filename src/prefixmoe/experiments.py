@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
+from ._util import to_json
 from .errors import ConfigurationError, UsageError
 from .estimation import ESTIMATOR_NOTE, SOLVER_TOLERANCES, FitConfig, fit
 from .model import (
@@ -141,15 +142,7 @@ class SlopeFit:
         return self.slope + self.half_width
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "half_width": self.half_width,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_points": self.n_points,
-        }
+        return {**to_json(self), "ci_low": self.ci_low, "ci_high": self.ci_high}
 
 
 def fit_slope(xs, ys) -> SlopeFit:

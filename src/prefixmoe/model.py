@@ -26,13 +26,14 @@ import io
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from ._util import config_field, frozen_array, softmax_rows
+from ._util import config_field, from_json, frozen_array, softmax_rows, to_json, typed_value
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -394,17 +395,6 @@ class InputLaw:
     def sample(self, count: int, dim: int, rng) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=(count, dim))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "low": self.low, "high": self.high}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InputLaw":
-        return cls(
-            config_field(data, "kind", str, "input_law", "uniform"),
-            low=config_field(data, "low", float, "input_law", -1.0),
-            high=config_field(data, "high", float, "input_law", 1.0),
-        )
-
 
 @dataclass(frozen=True)
 class RegressionModel:
@@ -534,21 +524,35 @@ class Dataset:
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
+        """Read a sample written by ``save``. A missing, empty or malformed
+        CSV or sidecar is a ConfigurationError naming the file."""
         path = Path(csv_path)
-        meta = json.loads(cls.meta_path(path).read_text())
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header) - 1
-            xs, ys = [], []
-            for row in reader:
-                if len(row) != dim + 1:
-                    raise ConfigurationError(f"{path}: malformed row {row!r}")
-                xs.append([float(v) for v in row[:dim]])
-                ys.append(float(row[dim]))
-        seed = int(meta.get("seed", 0))
-        provenance = {k: v for k, v in meta.items() if k not in ("version",)}
-        return cls(np.asarray(xs), np.asarray(ys), seed, provenance)
+        meta_path = cls.meta_path(path)
+        if not meta_path.is_file():
+            raise ConfigurationError(f"dataset metadata not found: {meta_path}")
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{meta_path}: {exc}") from exc
+        meta = typed_value(meta, dict, f"{meta_path}: the metadata")
+        seed = config_field(meta, "seed", int, str(meta_path), 0)
+        try:
+            with path.open(newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise ConfigurationError("empty file")
+                dim = len(header) - 1
+                xs, ys = [], []
+                for row in reader:
+                    if len(row) != dim + 1:
+                        raise ConfigurationError(f"malformed row {row!r}")
+                    xs.append([float(v) for v in row[:dim]])
+                    ys.append(float(row[dim]))
+            provenance = {k: v for k, v in meta.items() if k not in ("version",)}
+            return cls(np.asarray(xs).reshape(len(ys), dim), np.asarray(ys), seed, provenance)
+        except (ValueError, csv.Error) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def gen_dataset(model: RegressionModel, n_samples: int, seed: int) -> Dataset:
@@ -598,84 +602,42 @@ def check_identifiability(measure, proj: ProjectionPair, tol: float = 1e-6) -> I
 
 
 # --------------------------------------------------------------------------
-# serialization
+# serialization: ``_util.to_json`` and ``from_json`` write and read every
+# component. A measure adds its ``variant``; a bank or a projection may be
+# given instead as ``{"random": {...}}``, the arguments of its seeded
+# ``random`` constructor and the block's only key.
 
 
 def measure_to_dict(measure) -> dict:
-    arrays = measure.atom_fields + measure.shared_fields
-    data = {"variant": measure.variant, "log_weights": measure.log_weights.tolist()}
-    for f in fields(measure):
-        value = getattr(measure, f.name)
-        data.setdefault(f.name, value.tolist() if f.name in arrays else value)
-    return data
+    return {"variant": measure.variant, **to_json(measure)}
 
 
-def measure_from_dict(data: dict):
-    variant = config_field(data, "variant", str, "measure")
+def measure_from_dict(data: dict, where: str = "measure"):
+    variant = config_field(data, "variant", str, where)
     if variant not in MEASURE_VARIANTS:
-        raise ConfigurationError(f"unknown measure variant {variant!r}")
-    cls = MEASURE_VARIANTS[variant]
-    arrays = ("log_weights",) + cls.atom_fields + cls.shared_fields
-    return cls(**{
-        f.name: config_field(data, f.name, list if f.name in arrays else str, "measure")
-        for f in fields(cls)
-        if f.name in data or f.default is MISSING
-    })
+        raise ConfigurationError(f"{where}: unknown measure variant {variant!r}")
+    return from_json(MEASURE_VARIANTS[variant], {k: v for k, v in data.items() if k != "variant"}, where)
 
 
-def bank_to_dict(bank: PretrainedBank) -> dict:
-    return {
-        "gate_mats": bank.gate_mats.tolist(),
-        "gate_biases": bank.gate_biases.tolist(),
-        "expert_params": bank.expert_params.tolist(),
-        "expert_form": bank.expert_form,
-    }
-
-
-def bank_from_dict(data: dict) -> PretrainedBank:
-    if "random" in data:
-        spec = config_field(data, "random", dict, "bank")
-        return PretrainedBank.random(
-            config_field(spec, "n_experts", int, "bank.random"),
-            config_field(spec, "dim", int, "bank.random"),
-            config_field(spec, "seed", int, "bank.random"),
-            config_field(spec, "expert_form", str, "bank.random", "linear"),
-        )
-    return PretrainedBank(
-        config_field(data, "gate_mats", list, "bank"),
-        config_field(data, "gate_biases", list, "bank"),
-        config_field(data, "expert_params", list, "bank"),
-        config_field(data, "expert_form", str, "bank", "linear"),
-    )
-
-
-def proj_to_dict(proj: ProjectionPair) -> dict:
-    return {"b": proj.b.tolist(), "c": proj.c.tolist()}
-
-
-def proj_from_dict(data: dict) -> ProjectionPair:
-    if "random" in data:
-        spec = config_field(data, "random", dict, "proj")
-        dim, seed = (config_field(spec, key, int, "proj.random") for key in ("dim", "seed"))
-        return ProjectionPair.random(dim, seed)
-    return ProjectionPair(config_field(data, "b", list, "proj"), config_field(data, "c", list, "proj"))
+def _component_from_dict(cls, data: dict, where: str):
+    if "random" not in data:
+        return from_json(cls, data, where)
+    others = ", ".join(repr(key) for key in data if key != "random")
+    if others:
+        raise ConfigurationError(f"{where}: field 'random' cannot be combined with {others}")
+    return from_json(cls.random, config_field(data, "random", dict, where), f"{where}.random")
 
 
 def model_to_dict(model: RegressionModel) -> dict:
-    return {
-        "bank": bank_to_dict(model.bank),
-        "proj": proj_to_dict(model.proj),
-        "measure": measure_to_dict(model.measure),
-        "noise_sd": float(model.noise_sd),
-        "input_law": model.input_law.to_dict(),
-    }
+    return {**to_json(model), "measure": measure_to_dict(model.measure)}
 
 
 def model_from_dict(data: dict) -> RegressionModel:
-    return RegressionModel(
-        bank=bank_from_dict(config_field(data, "bank", dict, "model")),
-        proj=proj_from_dict(config_field(data, "proj", dict, "model")),
-        measure=measure_from_dict(config_field(data, "measure", dict, "model")),
-        noise_sd=config_field(data, "noise_sd", float, "model"),
-        input_law=InputLaw.from_dict(config_field(data, "input_law", dict, "model", {})),
+    return from_json(
+        RegressionModel,
+        data,
+        "model",
+        bank=partial(_component_from_dict, PretrainedBank),
+        proj=partial(_component_from_dict, ProjectionPair),
+        measure=measure_from_dict,
     )

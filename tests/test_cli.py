@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prefixmoe.cli import _fit_config_from, _sweep_spec_from, main
+from prefixmoe.model import model_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,9 +78,13 @@ def test_missing_field_exits_2(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
-def test_wrong_version_exits_2(tmp_path):
-    cfg = write_config(tmp_path, "equiv.json", {"version": 2, "trials": 1, "seed": 3})
-    assert main(["equiv", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+def test_wrong_version_exits_2(tmp_path, capsys):
+    # a boolean or a float is not the integer 1, though both compare equal to it
+    for version in (2, True, 1.0):
+        cfg = write_config(tmp_path, "equiv.json", {"version": version, "trials": 1, "seed": 3})
+        assert main(["equiv", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "'version'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "equiv_report.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -244,26 +249,26 @@ def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, v
 
 
 @pytest.mark.parametrize(
-    "name, path, value",
+    "name, path, value, named",
     [
-        ("fit_linear.json", ("dataset",), 5),
-        ("fit_linear.json", ("fit", "init", "scale"), "abc"),
-        ("fit_linear.json", ("fit", "atom_budget"), "x"),
-        ("witness.json", ("sample_sizes",), 5),
-        ("smoke_sweep.json", ("replications",), "two"),
-        ("equiv.json", ("trials",), None),
-        ("gen_linear.json", ("model", "noise_sd"), "abc"),
-        ("gen_linear.json", ("model", "bank"), 5),
-        ("gen_linear.json", ("model", "measure", "prompts"), "x"),
-        ("gen_linear.json", ("model", "input_law", "low"), "a"),
-        ("gen_linear.json", ("model", "proj", "random", "dim"), "two"),
+        ("fit_linear.json", ("dataset",), 5, "dataset"),
+        ("fit_linear.json", ("fit", "init", "scale"), "abc", "scale"),
+        ("fit_linear.json", ("fit", "atom_budget"), "x", "atom_budget"),
+        ("witness.json", ("sample_sizes",), 5, "sample_sizes"),
+        ("smoke_sweep.json", ("replications",), "two", "replications"),
+        ("equiv.json", ("trials",), None, "trials"),
+        ("gen_linear.json", ("model", "noise_sd"), "abc", "noise_sd"),
+        ("gen_linear.json", ("model", "bank"), 5, "bank"),
+        ("gen_linear.json", ("model", "measure", "prompts"), "x", "prompts"),
+        ("gen_linear.json", ("model", "input_law", "low"), "a", "low"),
+        ("gen_linear.json", ("model", "proj"), {"random": {"dim": "two", "seed": 8}}, "dim"),
     ],
     ids=[
         "fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials",
         "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-proj-random-dim",
     ],
 )
-def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value):
+def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value, named):
     data = json.loads((CONFIGS / name).read_text())
     block = data
     for key in path[:-1]:
@@ -276,7 +281,79 @@ def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, va
     if command == "fit":
         assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
     assert main([command, "--config", str(cfg), "--output-dir", str(out), "--force"]) == 2
-    assert f"field {path[-1]!r}" in capsys.readouterr().err
+    assert f"field {named!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ((), "input_lw"),
+        (("bank",), "gate_mat"),
+        (("bank", "random"), "n_expert"),
+        (("proj",), "d"),
+        (("proj", "random"), "dims"),
+        (("input_law",), "hi"),
+        (("measure",), "act1"),  # only the latent variant has activations
+    ],
+    ids=["model", "bank", "bank-random", "proj", "proj-random", "input_law", "measure-act1"],
+)
+def test_unknown_model_key_exits_2(tmp_path, capsys, block, key):
+    data = json.loads((CONFIGS / "gen_linear.json").read_text())
+    model = data["model"]
+    if block[1:] == ("random",):
+        model[block[0]] = {"random": {"n_experts": 2, "dim": 2, "seed": 11} if block[0] == "bank" else {"dim": 2, "seed": 8}}
+    target = model
+    for name in block:
+        target = target[name]
+    target[key] = 0.5
+    cfg = write_config(tmp_path, "gen.json", data)
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"unknown field {key!r}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("block", ["bank", "proj"])
+def test_random_generator_is_the_only_key_of_its_block(tmp_path, capsys, block):
+    data = json.loads((CONFIGS / "gen_linear.json").read_text())
+    data["model"][block]["random"] = {"n_experts": 4, "dim": 2, "seed": 7} if block == "bank" else {"dim": 2, "seed": 8}
+    cfg = write_config(tmp_path, "gen.json", data)
+    assert main(["gen", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'random' cannot be combined with" in err and ("'gate_mats'" in err or "'b'" in err)
+
+
+def _break_csv(csv_path, text):
+    csv_path.write_text(text)
+
+
+def _break_meta(csv_path, text):
+    meta = csv_path.with_name(csv_path.stem + ".meta.json")
+    if text is None:
+        meta.unlink()
+    else:
+        meta.write_text(text)
+
+
+@pytest.mark.parametrize(
+    "damage, text, named",
+    [
+        (_break_csv, "x_1,x_2,y\n0.5,abc,1.0\n", "linear_dataset.csv"),
+        (_break_csv, "", "linear_dataset.csv"),
+        (_break_meta, None, "linear_dataset.meta.json"),
+        (_break_meta, "{not json", "linear_dataset.meta.json"),
+        (_break_meta, "[1, 2]", "linear_dataset.meta.json"),
+    ],
+    ids=["non-numeric-cell", "empty-csv", "missing-sidecar", "sidecar-not-json", "sidecar-a-list"],
+)
+def test_fit_on_a_malformed_dataset_exits_2(tmp_path, capsys, damage, text, named):
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
+    damage(out / "linear_dataset.csv", text)
+    capsys.readouterr()
+    assert main(["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "fit_result.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -437,6 +514,16 @@ def test_witness_ignores_mc_samples_with_a_note(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_witness_rejects_empty_sample_sizes(tmp_path, capsys):
+    data = witness_config()
+    data["sample_sizes"] = []
+    cfg = write_config(tmp_path, "witness.json", data)
+    out = tmp_path / "o"
+    assert main(["witness", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert "sample_sizes" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_witness_rejects_r_zero(tmp_path):
     data = witness_config()
     data["r"] = 0
@@ -523,10 +610,13 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     ],
 )
 def test_bundled_configs_parse(name):
-    # the fit and sweep configs go through the command's own parsers, so
-    # their field names and types are checked as a run would check them
+    # the fit and sweep configs go through the command's own parsers, and
+    # every model description through the model reader, so their field
+    # names and types are checked as a run would check them
     data = json.loads((CONFIGS / name).read_text())
     assert data["version"] == 1
+    if "model" in data:
+        model_from_dict(data["model"])
     if name == "fit_linear.json":
         assert _fit_config_from(data["fit"], data["seed"], "fit config.fit").atom_budget == 3
     elif "replications" in data:

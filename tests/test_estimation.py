@@ -1,5 +1,6 @@
 """Objective, analytic gradients, and the projected least-squares fitter."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from prefixmoe import (
     gen_dataset,
     gradient,
     loss_d2,
+    measure_from_dict,
     measure_to_dict,
     objective,
     pack_parameters,
@@ -162,6 +164,9 @@ def test_pack_unpack_round_trip(start):
     theta = pack_parameters(measure)
     clone = unpack_parameters(theta, measure)
     assert measure_to_dict(clone) == measure_to_dict(measure)
+    # through JSON text and back, every array survives bit for bit
+    parsed = measure_from_dict(json.loads(json.dumps(measure_to_dict(measure))))
+    assert measure_to_dict(parsed) == measure_to_dict(measure)
     np.testing.assert_array_equal(pack_parameters(clone), theta)
     other = rng.normal(size=theta.size)
     np.testing.assert_array_equal(pack_parameters(unpack_parameters(other, measure)), other)
