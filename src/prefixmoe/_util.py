@@ -4,6 +4,7 @@ and the JSON form of the lab's dataclasses."""
 from __future__ import annotations
 
 import inspect
+import math
 import typing
 from dataclasses import fields, is_dataclass
 from functools import partial
@@ -47,10 +48,13 @@ _MISSING = object()
 
 def typed_value(value, kind, what: str):
     """``kind(value)``, or a ConfigurationError naming ``what`` when the
-    value has another JSON type."""
+    value has another JSON type or is a non-finite number."""
     accepted, label = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"{what} must be {label}, got {value!r}")
+    # json reads NaN and Infinity, and range checks written with < pass NaN
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -59,13 +63,6 @@ def config_field(cfg: dict, key: str, kind, where: str, default=_MISSING):
     if key not in cfg and default is _MISSING:
         raise ConfigurationError(f"{where}: missing field {key!r}")
     return typed_value(cfg.get(key, default), kind, f"{where}: field {key!r}")
-
-
-def check_keys(cfg: dict, allowed, where: str) -> None:
-    """Refuse any key of ``cfg`` that ``allowed`` does not list."""
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigurationError(f"{where}: unknown field {key!r}")
 
 
 def to_json(obj) -> dict:
@@ -86,14 +83,17 @@ def from_json(build, data: dict, where: str, **readers):
     """``build(**fields)`` from the JSON object ``data``, the inverse of ``to_json``.
 
     ``build`` is a dataclass or a constructor with annotated parameters.
-    Arrays are read as JSON lists, scalars by their type, and nested
-    dataclasses as objects, or by ``readers[name](block, where)`` where a
-    field has one. Unknown keys, missing required fields and values of the
-    wrong JSON type are ConfigurationErrors naming them.
+    Arrays are read as JSON lists, ``tuple[int, ...]`` as lists of
+    integers, scalars by their type, and nested dataclasses as objects, or
+    by ``readers[name](block, where)`` where a field has one. Unknown keys,
+    missing required fields and values of the wrong JSON type are
+    ConfigurationErrors naming them.
     """
     params = inspect.signature(build).parameters
     kinds = typing.get_type_hints(build)
-    check_keys(data, params, where)
+    for key in data:
+        if key not in params:
+            raise ConfigurationError(f"{where}: unknown field {key!r}")
     values = {}
     for name, param in params.items():
         if name not in data and param.default is not param.empty:
@@ -102,6 +102,9 @@ def from_json(build, data: dict, where: str, **readers):
         if name in readers or is_dataclass(kind):
             read = readers.get(name, partial(from_json, kind))
             values[name] = read(config_field(data, name, dict, where), f"{where}.{name}")
+        elif typing.get_origin(kind) is tuple:
+            entries = config_field(data, name, list, where)
+            values[name] = tuple(typed_value(v, int, f"{where}: entry of {name!r}") for v in entries)
         else:
             values[name] = config_field(data, name, list if kind is np.ndarray else kind, where)
     return build(**values)

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Every subcommand takes one JSON config (with a ``version`` field) plus a
-small set of flags, writes its outputs and a run manifest into
+Every subcommand takes one JSON config, ``"version": 2`` plus the fields
+of the command's schema (an unknown key at any level, a value of the
+wrong JSON type or a non-finite number exits 2 and is named), and a small
+set of flags. It writes its outputs and a run manifest into
 ``--output-dir``, and never overwrites existing files unless ``--force``
 is given. Exit codes: 0 success, 1 acceptance failure, 2 configuration
 error. Relative paths inside configs resolve against the output directory.
@@ -13,10 +15,11 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import check_keys, config_field, typed_value
+from ._util import config_field, from_json
 from .errors import ConfigurationError, UsageError
 from .estimation import (
     ESTIMATOR_NOTE,
@@ -33,6 +36,7 @@ from .experiments import (
 )
 from .model import (
     Dataset,
+    RegressionModel,
     check_identifiability,
     gen_dataset,
     model_from_dict,
@@ -46,10 +50,54 @@ WITNESS_AGREEMENT_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
-# config plumbing
+# config schemas; the sweep's is ``experiments.SweepSpec``
 
 
-def _load_config(path: Path) -> dict:
+@dataclass(frozen=True)
+class EquivConfig:
+    trials: int
+    seed: int
+    tolerance: float = 1e-9
+    max_tokens: int = 8
+    max_dim: int = 16
+    heads: tuple[int, ...] = (1, 2)
+    max_prompts: int = 4
+
+
+@dataclass(frozen=True)
+class WitnessConfig:
+    model: RegressionModel
+    r: int
+    sample_sizes: tuple[int, ...]
+    seed: int
+
+    def __post_init__(self):
+        if self.model.setting != "non_shared":
+            raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
+        if self.r < 1:
+            raise ConfigurationError("witness config: r must be a positive integer")
+        if not self.sample_sizes:
+            raise ConfigurationError("witness config: field 'sample_sizes' must not be empty")
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    model: RegressionModel
+    n: int
+    seed: int
+    name: str = "dataset"
+
+
+@dataclass(frozen=True)
+class FitCommandConfig:
+    dataset: str
+    fit: FitConfig
+    seed: int
+
+
+def _load_config(path: Path, schema, seed_override):
+    """The config at ``path`` as an instance of ``schema``, with ``--seed``
+    in place of its ``seed`` when given."""
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
@@ -58,40 +106,24 @@ def _load_config(path: Path) -> dict:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
-    if config_field(data, "version", int, str(path)) != 1:
-        raise ConfigurationError(f"{path}: field 'version' must be 1")
+    if config_field(data, "version", int, str(path)) != 2:
+        raise ConfigurationError(
+            f"{path}: field 'version' must be 2 (from version 1: drop 'setting', 'voronoi_r' and 'fit.init.kind', "
+            "and move 'fit.init.scale' and 'fit.optimizer.max_iters' up into 'fit' as 'scale' and 'max_iters')"
+        )
+    del data["version"]
     # configs written before the L2 distance became exact name a Monte-Carlo sample count
-    for key in data.keys() & {"mc_samples"}:
-        print(f"note: {path}: field {key!r} is ignored; the L2 distance is exact quadrature", file=sys.stderr)
-    return data
-
-
-def _int_list(cfg: dict, key: str, where: str, *default) -> list:
-    return [typed_value(v, int, f"{where}: entry of {key!r}") for v in config_field(cfg, key, list, where, *default)]
-
-
-def _seed(seed_override, cfg: dict, where: str) -> int:
-    return seed_override if seed_override is not None else config_field(cfg, "seed", int, where)
-
-
-def _fit_config_from(cfg: dict, seed: int, where: str) -> FitConfig:
-    """The fit block of a fit or sweep config. Every fit starts at a
-    perturbation of the generating measure, so ``init.kind`` must be
-    ``oracle_perturb``."""
-    check_keys(cfg, ("atom_budget", "init", "optimizer", "box_bound"), where)
-    init_cfg = config_field(cfg, "init", dict, where)
-    check_keys(init_cfg, ("kind", "scale"), f"{where}.init")
-    kind = config_field(init_cfg, "kind", str, f"{where}.init")
-    if kind != "oracle_perturb":
-        raise ConfigurationError(f"{where}.init: unknown kind {kind!r}; the only kind is 'oracle_perturb'")
-    opt_cfg = config_field(cfg, "optimizer", dict, where, {})
-    check_keys(opt_cfg, ("max_iters",), f"{where}.optimizer")
-    return FitConfig(
-        atom_budget=config_field(cfg, "atom_budget", int, where),
-        scale=config_field(init_cfg, "scale", float, f"{where}.init", FitConfig.scale),
-        max_iters=config_field(opt_cfg, "max_iters", int, f"{where}.optimizer", FitConfig.max_iters),
-        box_bound=config_field(cfg, "box_bound", float, where, FitConfig.box_bound),
-        seed=seed,
+    if "mc_samples" in data:
+        del data["mc_samples"]
+        print(f"note: {path}: field 'mc_samples' is ignored; the L2 distance is exact quadrature", file=sys.stderr)
+    if seed_override is not None:
+        data["seed"] = seed_override
+    return from_json(
+        schema,
+        data,
+        str(path),
+        model=lambda block, _: model_from_dict(block, f"{path}: model"),
+        fit=lambda block, _: from_json(FitConfig, block, f"{path}: fit"),
     )
 
 
@@ -130,11 +162,11 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _prepare(args, output_names) -> tuple:
+def _prepare(args, schema, output_names) -> tuple:
     """Load the config and create the output directory, refusing existing
     outputs before any work is done."""
     config_path = Path(args.config)
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, schema, args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _guard_outputs([outdir / name for name in output_names] + [outdir / "run_manifest.json"], args.force)
@@ -146,16 +178,15 @@ def _prepare(args, output_names) -> tuple:
 
 
 def cmd_equiv(args) -> int:
-    cfg, config_path, outdir = _prepare(args, ["equiv_report.json"])
-    where = "equiv config"
+    cfg, config_path, outdir = _prepare(args, EquivConfig, ["equiv_report.json"])
     report = run_equivalence_trials(
-        n_trials=config_field(cfg, "trials", int, where),
-        seed=_seed(args.seed, cfg, where),
-        tolerance=config_field(cfg, "tolerance", float, where, 1e-9),
-        max_tokens=config_field(cfg, "max_tokens", int, where, 8),
-        max_dim=config_field(cfg, "max_dim", int, where, 16),
-        heads=tuple(_int_list(cfg, "heads", where, [1, 2])),
-        max_prompts=config_field(cfg, "max_prompts", int, where, 4),
+        n_trials=cfg.trials,
+        seed=cfg.seed,
+        tolerance=cfg.tolerance,
+        max_tokens=cfg.max_tokens,
+        max_dim=cfg.max_dim,
+        heads=cfg.heads,
+        max_prompts=cfg.max_prompts,
     )
     (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
     _write_manifest(outdir, "equiv", config_path, args.seed)
@@ -169,24 +200,9 @@ def cmd_equiv(args) -> int:
     return 0
 
 
-def _sweep_spec_from(cfg: dict, seed_override) -> SweepSpec:
-    where = "sweep config"
-    seed = _seed(seed_override, cfg, where)
-    return SweepSpec(
-        setting=config_field(cfg, "setting", str, where),
-        truth=model_from_dict(config_field(cfg, "model", dict, where)),
-        sample_sizes=tuple(_int_list(cfg, "sample_sizes", where)),
-        replications=config_field(cfg, "replications", int, where),
-        fit_config=_fit_config_from(config_field(cfg, "fit", dict, where), seed, f"{where}.fit"),
-        seed=seed,
-        voronoi_r=config_field(cfg, "voronoi_r", int, where, 2),
-    )
-
-
 def cmd_sweep(args) -> int:
     config_path = Path(args.config)
-    cfg = _load_config(config_path)
-    spec = _sweep_spec_from(cfg, args.seed)
+    spec = _load_config(config_path, SweepSpec, args.seed)
     if args.dry_run:
         plan = {
             "cells": [
@@ -201,7 +217,7 @@ def cmd_sweep(args) -> int:
         return 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    loss_name = loss_for_setting(spec.setting, spec.voronoi_r)[0]
+    loss_name = loss_for_setting(spec.setting)[0]
     names = ["sweep_results.csv", "sweep_summary.json", f"plot_{loss_name}.dat", "plot_l2.dat"]
     _guard_outputs([outdir / name for name in names + ["run_manifest.json"]], args.force)
     result = run_sweep(spec)
@@ -219,23 +235,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg, config_path, outdir = _prepare(args, ["witness_table.csv", "witness_summary.json"])
-    where = "witness config"
-    truth_model = model_from_dict(config_field(cfg, "model", dict, where))
-    if truth_model.measure.variant != "non_shared":
-        raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
-    r = config_field(cfg, "r", int, where)
-    if r < 1:
-        raise ConfigurationError("witness config: r must be a positive integer")
-    sizes = _int_list(cfg, "sample_sizes", where)
-    if not sizes:
-        raise ConfigurationError(f"{where}: field 'sample_sizes' must not be empty")
-    seed = _seed(args.seed, cfg, where)
+    cfg, config_path, outdir = _prepare(args, WitnessConfig, ["witness_table.csv", "witness_summary.json"])
+    truth_model, r = cfg.model, cfg.r
     truth = truth_model.measure
     truth_fn = regression_fn(truth_model.bank, truth_model.proj, truth)
     rows = []
     worst = 0.0
-    for n in sizes:
+    for n in cfg.sample_sizes:
         witness = witness_sequence(truth, n, r)
         computed = loss_d1r(witness, truth, r)
         closed = witness_closed_form(truth, n, r)
@@ -251,8 +257,8 @@ def cmd_witness(args) -> int:
     summary = {
         "version": 1,
         "r": r,
-        "sample_sizes": sizes,
-        "seed": seed,
+        "sample_sizes": cfg.sample_sizes,
+        "seed": cfg.seed,
         "max_abs_disagreement": worst,
         "agreement_tol": WITNESS_AGREEMENT_TOL,
         "agreement": worst <= WITNESS_AGREEMENT_TOL,
@@ -272,13 +278,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg, config_path, outdir = _prepare(args, [])
-    where = "gen config"
-    model = model_from_dict(config_field(cfg, "model", dict, where))
-    n = config_field(cfg, "n", int, where)
-    seed = _seed(args.seed, cfg, where)
-    name = config_field(cfg, "name", str, where, "dataset")
-    csv_path = outdir / f"{name}.csv"
+    cfg, config_path, outdir = _prepare(args, GenConfig, [])
+    model = cfg.model
+    csv_path = outdir / f"{cfg.name}.csv"
     _guard_outputs([csv_path, Dataset.meta_path(csv_path)], args.force)
     if model.measure.n_atoms >= 1:
         ident = check_identifiability(model.measure, model.proj)
@@ -288,37 +290,28 @@ def cmd_gen(args) -> int:
                 f"(min distance {ident.min_distance:.3e})",
                 file=sys.stderr,
             )
-    dataset = gen_dataset(model, n, seed)
+    dataset = gen_dataset(model, cfg.n, cfg.seed)
     dataset.save(csv_path)
     _write_manifest(outdir, "gen", config_path, args.seed)
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg, config_path, outdir = _prepare(args, ["fit_result.json"])
-    where = "fit config"
-    dataset_name = config_field(cfg, "dataset", str, where)
-    dataset_path = _resolve(dataset_name, outdir)
+    cfg, config_path, outdir = _prepare(args, FitCommandConfig, ["fit_result.json"])
+    dataset_path = _resolve(cfg.dataset, outdir)
     if not dataset_path.is_file():
         raise ConfigurationError(f"dataset file not found: {dataset_path}")
     dataset = Dataset.load(dataset_path)
     meta_where = str(Dataset.meta_path(dataset_path))
-    meta_setting = config_field(dataset.provenance, "setting", str, meta_where)
-    setting = config_field(cfg, "setting", str, where)
-    if setting != meta_setting:
-        raise ConfigurationError(
-            f"config setting {setting!r} does not match the dataset's generating "
-            f"setting {meta_setting!r}; refusing to fit mismatched provenance"
-        )
-    truth_model = model_from_dict(config_field(dataset.provenance, "model", dict, meta_where))
-    seed = _seed(args.seed, cfg, where)
-    fit_config = _fit_config_from(config_field(cfg, "fit", dict, where), seed, f"{where}.fit")
-    loss_name, loss_fn = loss_for_setting(setting, config_field(cfg, "voronoi_r", int, where, 2))
-    result = fit(dataset, truth_model.bank, truth_model.proj, truth_model.measure, fit_config)
+    truth_model = model_from_dict(
+        config_field(dataset.provenance, "model", dict, meta_where), f"{meta_where}: model"
+    )
+    loss_name, loss_fn = loss_for_setting(truth_model.setting)
+    result = fit(dataset, truth_model.bank, truth_model.proj, truth_model.measure, cfg.fit, cfg.seed)
     payload = {
         "version": 1,
-        "setting": setting,
-        "dataset": dataset_name,
+        "setting": truth_model.setting,
+        "dataset": cfg.dataset,
         "fit": result.to_dict(),
         "estimator_note": ESTIMATOR_NOTE,
     }

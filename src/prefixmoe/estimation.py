@@ -68,8 +68,9 @@ SOLVER_TOLERANCES = {"ftol": 1e-8, "xtol": 1e-8, "gtol": 1e-8}
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit needs besides the data, the frozen components and
-    the reference measure it starts from.
+    """Everything a fit needs besides the data, the frozen components, the
+    reference measure it starts from and the seed of its start; also the
+    ``fit`` block of a fit or sweep config.
 
     The start is the reference plus Gaussian noise of scale ``scale`` on
     every coordinate. The solver stops on ``SOLVER_TOLERANCES``, which
@@ -81,7 +82,6 @@ class FitConfig:
     scale: float = 0.1
     max_iters: int = 20000
     box_bound: float = 5.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.atom_budget < 1:
@@ -293,12 +293,13 @@ def _minimize(problem: _Problem, theta0: np.ndarray, max_iters: int, box_bound: 
 # fit
 
 
-def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, reference, config: FitConfig) -> FitResult:
+def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, reference, config: FitConfig,
+        seed: int) -> FitResult:
     """Least-squares fit of a mixing measure of the reference's variant,
     started at a perturbation of ``reference``.
 
-    Deterministic given (dataset, reference, config): all randomness flows
-    from ``config.seed``. A start with a non-finite residual is not
+    Deterministic given (dataset, reference, config, seed): all randomness
+    flows from ``seed``. A start with a non-finite residual is not
     optimized; the result is then marked ``failed``.
     """
     warnings_out = ()
@@ -307,7 +308,7 @@ def fit(dataset: Dataset, bank: PretrainedBank, proj: ProjectionPair, reference,
             f"atom budget {config.atom_budget} is below the reference atom count "
             f"{reference.n_atoms}; the overspecified protocol expects at least as many",
         )
-    rng = np.random.default_rng(int(config.seed))
+    rng = np.random.default_rng(int(seed))
     start = _perturbed_init(reference, config.atom_budget, config.scale, rng)
     if not start.satisfies_curvature:
         raise ConfigurationError(

@@ -18,7 +18,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -172,31 +172,30 @@ def fit_slope(xs, ys) -> SlopeFit:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A rate experiment: one truth, a sample-size grid, and a fit recipe.
+    """A rate experiment, and the schema of a sweep config: one generating
+    model, a sample-size grid, and a fit recipe.
 
-    ``fit_config`` acts as a template: its seed is replaced per cell, and
-    every fit starts at a perturbation of the truth measure.
+    Every cell fits with ``fit`` from a perturbation of the model's measure,
+    seeded per cell from ``seed``. The setting, and so the Voronoi loss, is
+    the measure's variant.
     """
 
-    setting: str
-    truth: RegressionModel
-    sample_sizes: tuple
+    model: RegressionModel
+    sample_sizes: tuple[int, ...]
     replications: int
-    fit_config: FitConfig
+    fit: FitConfig
     seed: int
-    voronoi_r: int = 2
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = self.sample_sizes
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigurationError("sample_sizes must be strictly increasing")
-        object.__setattr__(self, "sample_sizes", sizes)
         if self.replications < 1:
             raise ConfigurationError("replications must be at least 1")
-        if self.setting != self.truth.measure.variant:
-            raise ConfigurationError(
-                f"setting {self.setting!r} != truth variant {self.truth.measure.variant!r}"
-            )
+
+    @property
+    def setting(self) -> str:
+        return self.model.setting
 
     def cell_seeds(self, n: int, rep: int) -> dict:
         return {
@@ -211,19 +210,8 @@ class SweepSpec:
             "replications": self.replications,
             "l2": {"rule": "gauss_legendre", "nodes_per_axis": QUADRATURE_NODES},
             "seed": self.seed,
-            "voronoi_r": self.voronoi_r,
-            "fit_config": {
-                "setting": self.setting,
-                "atom_budget": self.fit_config.atom_budget,
-                "init": {"kind": "oracle_perturb", "scale": self.fit_config.scale},
-                "box_bound": self.fit_config.box_bound,
-                "optimizer": {
-                    "solver": "trf",
-                    **SOLVER_TOLERANCES,
-                    "max_iters": self.fit_config.max_iters,
-                },
-            },
-            "truth": model_to_dict(self.truth),
+            "fit": {**to_json(self.fit), "solver": "trf", **SOLVER_TOLERANCES},
+            "truth": model_to_dict(self.model),
         }
 
 
@@ -292,9 +280,9 @@ class SweepResult:
 
 def _run_cell(spec: SweepSpec, loss_name: str, loss_fn, truth_fn, n: int, rep: int) -> dict:
     seeds = spec.cell_seeds(n, rep)
-    dataset = gen_dataset(spec.truth, n, seeds["data"])
-    fit_config = replace(spec.fit_config, seed=seeds["fit"])
-    result = fit(dataset, spec.truth.bank, spec.truth.proj, spec.truth.measure, fit_config)
+    truth = spec.model
+    dataset = gen_dataset(truth, n, seeds["data"])
+    result = fit(dataset, truth.bank, truth.proj, truth.measure, spec.fit, seeds["fit"])
     row = {
         "setting": spec.setting,
         "n": n,
@@ -306,9 +294,9 @@ def _run_cell(spec: SweepSpec, loss_name: str, loss_fn, truth_fn, n: int, rep: i
     if result.failed:
         row.update({"loss_value": math.nan, "l2_error": math.nan, "objective": math.nan})
         return row
-    fitted_fn = regression_fn(spec.truth.bank, spec.truth.proj, result.measure)
-    row["loss_value"] = loss_fn(result.measure, spec.truth.measure)
-    row["l2_error"] = l2_norm(fitted_fn, truth_fn, spec.truth.input_law, spec.truth.proj.dim)
+    fitted_fn = regression_fn(truth.bank, truth.proj, result.measure)
+    row["loss_value"] = loss_fn(result.measure, truth.measure)
+    row["l2_error"] = l2_norm(fitted_fn, truth_fn, truth.input_law, truth.proj.dim)
     row["objective"] = result.final_objective
     return row
 
@@ -326,14 +314,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Failed fits are excluded from aggregates and counted.
     """
-    ident = check_identifiability(spec.truth.measure, spec.truth.proj)
+    truth = spec.model
+    ident = check_identifiability(truth.measure, truth.proj)
     if not ident.passed:
         raise ConfigurationError(
             f"truth fails the identifiability check (min projected key distance "
             f"{ident.min_distance:.3e} < {ident.tol:.1e})"
         )
-    loss_name, loss_fn = loss_for_setting(spec.setting, spec.voronoi_r)
-    truth_fn = regression_fn(spec.truth.bank, spec.truth.proj, spec.truth.measure)
+    loss_name, loss_fn = loss_for_setting(spec.setting)
+    truth_fn = regression_fn(truth.bank, truth.proj, truth.measure)
     rows = [
         _run_cell(spec, loss_name, loss_fn, truth_fn, n, rep)
         for n in spec.sample_sizes

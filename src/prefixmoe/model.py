@@ -389,6 +389,8 @@ class InputLaw:
     def __post_init__(self):
         if self.kind != "uniform":
             raise ConfigurationError(f"unknown input law {self.kind!r}")
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ConfigurationError("uniform law needs finite bounds")
         if not self.low < self.high:
             raise ConfigurationError("uniform law needs low < high")
 
@@ -632,11 +634,11 @@ def model_to_dict(model: RegressionModel) -> dict:
     return {**to_json(model), "measure": measure_to_dict(model.measure)}
 
 
-def model_from_dict(data: dict) -> RegressionModel:
+def model_from_dict(data: dict, where: str = "model") -> RegressionModel:
     return from_json(
         RegressionModel,
         data,
-        "model",
+        where,
         bank=partial(_component_from_dict, PretrainedBank),
         proj=partial(_component_from_dict, ProjectionPair),
         measure=measure_from_dict,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prefixmoe as pm
-from prefixmoe.cli import _sweep_spec_from, main
+from prefixmoe.cli import _load_config, main
 from prefixmoe.voronoi import loss_for_setting
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -27,7 +27,7 @@ def report(cid, ok, detail):
 
 
 def load_spec(name):
-    return _sweep_spec_from(json.loads((CONFIGS / name).read_text()), None)
+    return _load_config(CONFIGS / name, pm.SweepSpec, None)
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefixmoe.cli import _fit_config_from, _sweep_spec_from, main
-from prefixmoe.model import model_from_dict
+from prefixmoe.cli import EquivConfig, FitCommandConfig, GenConfig, WitnessConfig, _load_config, main
+from prefixmoe.experiments import SweepSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the command of each bundled config; every other bundled config is a sweep's
+COMMANDS = {"equiv.json": "equiv", "witness.json": "witness", "gen_linear.json": "gen", "fit_linear.json": "fit"}
+SCHEMAS = {"equiv": EquivConfig, "witness": WitnessConfig, "gen": GenConfig, "fit": FitCommandConfig,
+           "sweep": SweepSpec}
+
+
+def command_of(name):
+    return COMMANDS.get(name, "sweep")
 
 
 def write_config(tmp_path, name, data):
@@ -34,7 +42,7 @@ def small_model():
 
 
 def test_equiv_passes_and_writes_report(tmp_path):
-    cfg = write_config(tmp_path, "equiv.json", {"version": 1, "trials": 5, "seed": 3})
+    cfg = write_config(tmp_path, "equiv.json", {"version": 2, "trials": 5, "seed": 3})
     out = tmp_path / "out"
     assert main(["equiv", "--config", str(cfg), "--output-dir", str(out)]) == 0
     report = json.loads((out / "equiv_report.json").read_text())
@@ -45,7 +53,7 @@ def test_equiv_passes_and_writes_report(tmp_path):
 
 
 def test_equiv_zero_tolerance_fails_with_exit_1(tmp_path):
-    cfg = write_config(tmp_path, "equiv.json", {"version": 1, "trials": 5, "seed": 3, "tolerance": 0.0})
+    cfg = write_config(tmp_path, "equiv.json", {"version": 2, "trials": 5, "seed": 3, "tolerance": 0.0})
     out = tmp_path / "out"
     assert main(["equiv", "--config", str(cfg), "--output-dir", str(out)]) == 1
     report = json.loads((out / "equiv_report.json").read_text())
@@ -53,7 +61,7 @@ def test_equiv_zero_tolerance_fails_with_exit_1(tmp_path):
 
 
 def test_equiv_zero_trials_is_empty_success(tmp_path):
-    cfg = write_config(tmp_path, "equiv.json", {"version": 1, "trials": 0, "seed": 3})
+    cfg = write_config(tmp_path, "equiv.json", {"version": 2, "trials": 0, "seed": 3})
     out = tmp_path / "out"
     assert main(["equiv", "--config", str(cfg), "--output-dir", str(out)]) == 0
     report = json.loads((out / "equiv_report.json").read_text())
@@ -66,24 +74,28 @@ def test_equiv_zero_trials_is_empty_success(tmp_path):
 
 def test_invalid_json_reports_line_and_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 1,\n  "trials": }\n')
+    bad.write_text('{"version": 2,\n  "trials": }\n')
     assert main(["equiv", "--config", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "bad.json:2" in err
 
 
 def test_missing_field_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "equiv.json", {"version": 1, "seed": 3})
+    cfg = write_config(tmp_path, "equiv.json", {"version": 2, "seed": 3})
     assert main(["equiv", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
     assert "trials" in capsys.readouterr().err
 
 
 def test_wrong_version_exits_2(tmp_path, capsys):
-    # a boolean or a float is not the integer 1, though both compare equal to it
-    for version in (2, True, 1.0):
+    # a float is not the integer 2, though it compares equal to it, and a
+    # version-1 config is told what to change
+    errors = []
+    for version in (1, True, 2.0):
         cfg = write_config(tmp_path, "equiv.json", {"version": version, "trials": 1, "seed": 3})
         assert main(["equiv", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
-        assert "'version'" in capsys.readouterr().err
+        errors.append(capsys.readouterr().err)
+    assert all("'version'" in err for err in errors)
+    assert "drop 'setting'" in errors[0] and "'fit.init.kind'" in errors[0]
     assert not (tmp_path / "o" / "equiv_report.json").exists()
 
 
@@ -97,7 +109,7 @@ def test_missing_config_file_exits_2(tmp_path):
 
 def test_gen_then_fit_recovers_truth_noiselessly(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 400, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 400, "seed": 5}
     )
     out = tmp_path / "run"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
@@ -107,11 +119,10 @@ def test_gen_then_fit_recovers_truth_noiselessly(tmp_path):
         tmp_path,
         "fit.json",
         {
-            "version": 1,
+            "version": 2,
             "dataset": "dataset.csv",
-            "setting": "linear_shared",
             "seed": 7,
-            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.0}},
+            "fit": {"atom_budget": 2, "scale": 0.0},
         },
     )
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 0
@@ -122,7 +133,7 @@ def test_gen_then_fit_recovers_truth_noiselessly(tmp_path):
 
 def test_fit_grad_check_section(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 60, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 60, "seed": 5}
     )
     out = tmp_path / "run"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
@@ -130,14 +141,13 @@ def test_fit_grad_check_section(tmp_path):
         tmp_path,
         "fit.json",
         {
-            "version": 1,
+            "version": 2,
             "dataset": "dataset.csv",
-            "setting": "linear_shared",
             "seed": 7,
             "fit": {
                 "atom_budget": 2,
-                "init": {"kind": "oracle_perturb", "scale": 0.1},
-                "optimizer": {"max_iters": 500},
+                "scale": 0.1,
+                "max_iters": 500,
             },
         },
     )
@@ -146,30 +156,9 @@ def test_fit_grad_check_section(tmp_path):
     assert payload["gradient_check"]["max_rel_error"] <= 1e-5
 
 
-def test_fit_refuses_mismatched_setting(tmp_path, capsys):
-    gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
-    )
-    out = tmp_path / "run"
-    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
-    fit_cfg = write_config(
-        tmp_path,
-        "fit.json",
-        {
-            "version": 1,
-            "dataset": "dataset.csv",
-            "setting": "non_shared",
-            "seed": 7,
-            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
-        },
-    )
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
-    assert "provenance" in capsys.readouterr().err
-
-
 def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 50, "seed": 5}
     )
     out = tmp_path / "run"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
@@ -177,15 +166,10 @@ def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
         tmp_path,
         "fit.json",
         {
-            "version": 1,
+            "version": 2,
             "dataset": "dataset.csv",
-            "setting": "linear_shared",
             "seed": 7,
-            "fit": {
-                "atom_budget": 2,
-                "init": {"kind": "oracle_perturb", "scale": 0.1},
-                "optimizer": {"learning_rate": 0.02},
-            },
+            "fit": {"atom_budget": 2, "scale": 0.1, "learning_rate": 0.02},
         },
     )
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
@@ -195,64 +179,98 @@ def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", ["fit", "init", "optimizer"])
 def test_fit_block_that_is_not_an_object_exits_2(tmp_path, capsys, block):
+    # the fit block must be an object; the version-1 init and optimizer
+    # blocks inside it are unknown fields now that it is flat
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 50, "seed": 5}
     )
     out = tmp_path / "run"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
-    data = {
-        "version": 1,
-        "dataset": "dataset.csv",
-        "setting": "linear_shared",
-        "seed": 7,
-        "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
-    }
+    data = {"version": 2, "dataset": "dataset.csv", "seed": 7, "fit": {"atom_budget": 2, "scale": 0.1}}
     if block == "fit":
         data["fit"] = 5
     else:
-        data["fit"][block] = 5
+        data["fit"][block] = {"scale": 0.1} if block == "init" else {"max_iters": 500}
     fit_cfg = write_config(tmp_path, "fit.json", data)
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
-    assert "must be a JSON object" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("must be a JSON object" if block == "fit" else f"fit: unknown field {block!r}") in err
     assert not (out / "fit_result.json").exists()
 
 
 @pytest.mark.parametrize(
     "block, key, value",
     [
-        ("fit", "max_iters", 500),  # belongs in the optimizer block
-        ("fit", "activations", ["tanh", "tanh"]),
-        ("init", "restarts", 16),
-        ("init", "kind", "multistart"),
+        ((), "max_iters", 500),  # belongs in the fit block
+        (("fit",), "activations", ["tanh", "tanh"]),
+        (("fit",), "restarts", 16),
+        (("fit",), "kind", "multistart"),
+        (("fit",), "init", {"scale": 0.1}),
+        (("fit",), "seed", 3),  # each fit's seed comes from the top-level seed
     ],
-    ids=["max_iters", "activations", "restarts", "multistart"],
+    ids=["max_iters", "activations", "restarts", "multistart", "init", "seed"],
 )
 def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, value):
-    gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 50, "seed": 5}
-    )
-    out = tmp_path / "run"
-    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
-    data = {
-        "version": 1,
-        "dataset": "dataset.csv",
-        "setting": "linear_shared",
-        "seed": 7,
-        "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
-    }
-    (data["fit"] if block == "fit" else data["fit"]["init"])[key] = value
+    data = json.loads((CONFIGS / "fit_linear.json").read_text())
+    (data["fit"] if block else data)[key] = value
     fit_cfg = write_config(tmp_path, "fit.json", data)
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
-    err = capsys.readouterr().err
-    assert repr(value if key == "kind" else key) in err
+    out = tmp_path / "run"
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out)]) == 2
+    assert f"unknown field {key!r}" in capsys.readouterr().err
     assert not (out / "fit_result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("equiv.json", "tolerence"),
+        ("smoke_sweep.json", "voronoi_R"),
+        ("witness.json", "mc_sample"),  # only the exact retired key is tolerated
+        ("gen_linear.json", "nmae"),
+        ("fit_linear.json", "setting"),  # derived from the dataset's model
+    ],
+    ids=["equiv", "sweep", "witness", "gen", "fit"],
+)
+def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key):
+    data = json.loads((CONFIGS / name).read_text())
+    data[key] = 1e-30
+    cfg = write_config(tmp_path, name, data)
+    out = tmp_path / "out"
+    assert main([command_of(name), "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"unknown field {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, path, value, named",
+    [
+        ("gen_linear.json", ("model", "noise_sd"), float("nan"), "noise_sd"),
+        ("smoke_sweep.json", ("fit", "box_bound"), float("inf"), "box_bound"),
+        ("fit_linear.json", ("fit", "scale"), float("nan"), "scale"),
+        ("gen_linear.json", ("model", "input_law", "low"), float("-inf"), "low"),
+        ("equiv.json", ("tolerance",), float("nan"), "tolerance"),
+    ],
+    ids=["gen-noise_sd", "sweep-box_bound", "fit-scale", "gen-input_law-low", "equiv-tolerance"],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, name, path, value, named):
+    # json reads the NaN and Infinity literals that json.dumps writes
+    data = json.loads((CONFIGS / name).read_text())
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg = write_config(tmp_path, name, data)
+    out = tmp_path / "out"
+    assert main([command_of(name), "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"field {named!r} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "name, path, value, named",
     [
         ("fit_linear.json", ("dataset",), 5, "dataset"),
-        ("fit_linear.json", ("fit", "init", "scale"), "abc", "scale"),
+        ("fit_linear.json", ("fit", "scale"), "abc", "scale"),
         ("fit_linear.json", ("fit", "atom_budget"), "x", "atom_budget"),
         ("witness.json", ("sample_sizes",), 5, "sample_sizes"),
         ("smoke_sweep.json", ("replications",), "two", "replications"),
@@ -276,8 +294,7 @@ def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, va
     block[path[-1]] = value
     cfg = write_config(tmp_path, name, data)
     out = tmp_path / "out"
-    command = {"fit_linear.json": "fit", "witness.json": "witness", "smoke_sweep.json": "sweep", "equiv.json": "equiv",
-               "gen_linear.json": "gen"}[name]
+    command = command_of(name)
     if command == "fit":
         assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
     assert main([command, "--config", str(cfg), "--output-dir", str(out), "--force"]) == 2
@@ -356,6 +373,19 @@ def test_fit_on_a_malformed_dataset_exits_2(tmp_path, capsys, damage, text, name
     assert not (out / "fit_result.json").exists()
 
 
+def test_unknown_key_in_the_sidecar_model_names_the_sidecar(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
+    meta_path = out / "linear_dataset.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["model"]["bogus"] = 1
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"]) == 2
+    assert f"{meta_path}: model: unknown field 'bogus'" in capsys.readouterr().err
+    assert not (out / "fit_result.json").exists()
+
+
 @pytest.mark.parametrize(
     "key, value, named",
     [
@@ -382,17 +412,16 @@ def test_equiv_field_out_of_range_exits_2(tmp_path, capsys, key, value, named):
 
 def test_fit_result_does_not_depend_on_output_dir(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 60, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 60, "seed": 5}
     )
     fit_cfg = write_config(
         tmp_path,
         "fit.json",
         {
-            "version": 1,
+            "version": 2,
             "dataset": "dataset.csv",
-            "setting": "linear_shared",
             "seed": 7,
-            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.1}},
+            "fit": {"atom_budget": 2, "scale": 0.1},
         },
     )
     outs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
@@ -406,7 +435,7 @@ def test_fit_result_does_not_depend_on_output_dir(tmp_path):
 
 def test_outputs_are_not_overwritten_without_force(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 20, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 20, "seed": 5}
     )
     out = tmp_path / "run"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
@@ -420,17 +449,16 @@ def _never_called(*args, **kwargs):
 
 def test_rerun_into_same_directory_refuses_before_work(tmp_path, monkeypatch):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 40, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 40, "seed": 5}
     )
     fit_cfg = write_config(
         tmp_path,
         "fit.json",
         {
-            "version": 1,
+            "version": 2,
             "dataset": "dataset.csv",
-            "setting": "linear_shared",
             "seed": 7,
-            "fit": {"atom_budget": 2, "init": {"kind": "oracle_perturb", "scale": 0.0}},
+            "fit": {"atom_budget": 2, "scale": 0.0},
         },
     )
     sweep_cfg = write_config(tmp_path, "sweep.json", sweep_config())
@@ -446,7 +474,7 @@ def test_rerun_into_same_directory_refuses_before_work(tmp_path, monkeypatch):
 
 def test_gen_is_byte_identical_across_runs(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 30, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 30, "seed": 5}
     )
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out_a)]) == 0
@@ -457,7 +485,7 @@ def test_gen_is_byte_identical_across_runs(tmp_path):
 
 def test_seed_override_changes_dataset(tmp_path):
     gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 1, "model": small_model(), "n": 30, "seed": 5}
+        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 30, "seed": 5}
     )
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out_a)]) == 0
@@ -473,7 +501,7 @@ def test_seed_override_changes_dataset(tmp_path):
 
 def witness_config():
     return {
-        "version": 1,
+        "version": 2,
         "model": {
             "bank": {"random": {"n_experts": 2, "dim": 3, "seed": 55}},
             "proj": {"b": [[1.2, 0.2, -0.1], [0.0, 1.1, 0.3], [-0.2, 0.1, 1.3]],
@@ -547,14 +575,13 @@ def sweep_config():
     model = small_model()
     model["noise_sd"] = 0.1
     return {
-        "version": 1,
-        "setting": "linear_shared",
+        "version": 2,
         "model": model,
         "sample_sizes": [50, 80],
         "replications": 2,
         "seed": 13,
-        "fit": {"atom_budget": 3, "init": {"kind": "oracle_perturb", "scale": 0.1},
-                "optimizer": {"max_iters": 300}},
+        "fit": {"atom_budget": 3, "scale": 0.1,
+                "max_iters": 300},
     }
 
 
@@ -595,32 +622,13 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
 # bundled configs stay loadable
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "equiv.json",
-        "witness.json",
-        "linear_shared_rate.json",
-        "neural_shared_rate.json",
-        "separation_shared_rate.json",
-        "separation_non_shared_rate.json",
-        "smoke_sweep.json",
-        "gen_linear.json",
-        "fit_linear.json",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
 def test_bundled_configs_parse(name):
-    # the fit and sweep configs go through the command's own parsers, and
-    # every model description through the model reader, so their field
-    # names and types are checked as a run would check them
+    # each shipped config is read as its command reads it, so a stray key,
+    # a wrong type or a config no command accepts fails here
     data = json.loads((CONFIGS / name).read_text())
-    assert data["version"] == 1
-    if "model" in data:
-        model_from_dict(data["model"])
-    if name == "fit_linear.json":
-        assert _fit_config_from(data["fit"], data["seed"], "fit config.fit").atom_budget == 3
-    elif "replications" in data:
-        assert _sweep_spec_from(data, None).setting == data["setting"]
+    assert data["version"] == 2
+    _load_config(CONFIGS / name, SCHEMAS[command_of(name)], None)
 
 
 def test_bundled_smoke_sweep_runs_deterministically(tmp_path):

@@ -180,7 +180,7 @@ def test_oracle_start_at_truth_converges_immediately():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 300, seed=11)
-    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0, seed=0))
+    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0), seed=0)
     assert result.converged and not result.failed
     assert result.final_objective <= 1e-16 * 300
     assert loss_d2(result.measure, truth) <= 1e-8
@@ -193,7 +193,7 @@ def test_oracle_split_start_is_still_a_global_minimum():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 100, seed=12)
-    result = fit(ds, bank, proj, truth, FitConfig(4, scale=0.0, seed=0))
+    result = fit(ds, bank, proj, truth, FitConfig(4, scale=0.0), seed=0)
     assert result.final_objective <= 1e-16 * 100
 
 
@@ -201,10 +201,10 @@ def test_noiseless_perturbed_start_recovers_truth():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.0), 500, seed=13)
-    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.05, seed=1))
+    result = fit(ds, bank, proj, truth, FitConfig(2, scale=0.05), seed=1)
     assert not result.failed
     assert loss_d2(result.measure, truth) <= 1e-4
-    reference = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0, seed=1))
+    reference = fit(ds, bank, proj, truth, FitConfig(2, scale=0.0), seed=1)
     assert result.final_objective <= reference.final_objective + 1e-6
 
 
@@ -212,7 +212,7 @@ def test_budget_below_reference_count_records_warning():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 50, seed=14)
-    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1, seed=2))
+    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1), seed=2)
     assert any("budget" in w for w in result.warnings)
 
 
@@ -221,7 +221,7 @@ def test_fitted_parameters_respect_the_box():
     truth = LinearSharedMeasure([0.0], [[2.4, -1.8]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.05), 120, seed=16)
     # the truth lies outside the box, so the start is clipped and the box binds
-    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1, max_iters=500, box_bound=0.5, seed=4))
+    result = fit(ds, bank, proj, truth, FitConfig(1, scale=0.1, max_iters=500, box_bound=0.5), seed=4)
     assert not result.failed
     assert np.abs(pack_parameters(result.measure)).max() <= 0.5 + 1e-12
 
@@ -230,9 +230,9 @@ def test_fit_is_bitwise_deterministic():
     bank, proj = make_parts()
     truth = LinearSharedMeasure([0.0, 0.3], [[1.2, -0.8], [-1.0, 0.9]])
     ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), 150, seed=17)
-    config = FitConfig(3, scale=0.1, max_iters=2000, seed=5)
-    a = fit(ds, bank, proj, truth, config)
-    b = fit(ds, bank, proj, truth, config)
+    config = FitConfig(3, scale=0.1, max_iters=2000)
+    a = fit(ds, bank, proj, truth, config, seed=5)
+    b = fit(ds, bank, proj, truth, config, seed=5)
     assert a.to_dict() == b.to_dict()
 
 
@@ -242,7 +242,7 @@ def test_non_finite_data_marks_fit_failed():
     y = np.full(10, np.nan)
     ds = Dataset(x, y, 0, {})
     reference = LinearSharedMeasure([0.0], [[1.0, -0.5]])
-    result = fit(ds, bank, proj, reference, FitConfig(1, scale=0.1, seed=6))
+    result = fit(ds, bank, proj, reference, FitConfig(1, scale=0.1), seed=6)
     assert result.failed and result.failure_reason
     assert math.isnan(result.final_objective) and not result.converged
 
@@ -255,7 +255,7 @@ def test_latent_fit_rejects_flat_value_activation():
     )
     ds = gen_dataset(RegressionModel(bank, proj, reference, 0.1), 30, seed=18)
     with pytest.raises(ConfigurationError):
-        fit(ds, bank, proj, reference, FitConfig(1, scale=0.1, seed=7))
+        fit(ds, bank, proj, reference, FitConfig(1, scale=0.1), seed=7)
 
 
 def test_config_validation():

@@ -1,8 +1,6 @@
 """Exact L2 norms, the slow-rate witness, slope fitting, and sweeps."""
 
-import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +28,7 @@ from prefixmoe import (
     witness_sequence,
 )
 from prefixmoe import experiments
-from prefixmoe.cli import _sweep_spec_from
+from prefixmoe.cli import _load_config
 from prefixmoe.experiments import SweepSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,10 +63,10 @@ def test_linear_difference_matches_closed_form_integral():
     "name", ["linear_shared_rate.json", "separation_non_shared_rate.json", "neural_shared_rate.json"]
 )
 def test_sixteen_nodes_agree_with_twenty_four_on_fitted_measures(name, monkeypatch):
-    spec = _sweep_spec_from(json.loads((CONFIGS / name).read_text()), None)
-    model = spec.truth
+    spec = _load_config(CONFIGS / name, SweepSpec, None)
+    model = spec.model
     dataset = gen_dataset(model, 200, child_seed(spec.seed, 200, 0, "data"))
-    result = fit(dataset, model.bank, model.proj, model.measure, replace(spec.fit_config, seed=0))
+    result = fit(dataset, model.bank, model.proj, model.measure, spec.fit, seed=0)
     assert not result.failed
     fitted = regression_fn(model.bank, model.proj, result.measure)
     truth = regression_fn(model.bank, model.proj, model.measure)
@@ -202,11 +200,10 @@ def test_noiseless_oracle_sweep_has_zero_losses():
     bank, proj, truth = tiny_parts()
     model = RegressionModel(bank, proj, truth, noise_sd=0.0)
     spec = SweepSpec(
-        setting="linear_shared",
-        truth=model,
+        model=model,
         sample_sizes=(100,),
         replications=1,
-        fit_config=FitConfig(2, scale=0.0, seed=0),
+        fit=FitConfig(2, scale=0.0),
         seed=11,
     )
     result = run_sweep(spec)
@@ -220,11 +217,10 @@ def test_sweep_serialization_is_reproducible():
     bank, proj, truth = tiny_parts()
     model = RegressionModel(bank, proj, truth, noise_sd=0.1)
     spec = SweepSpec(
-        setting="linear_shared",
-        truth=model,
+        model=model,
         sample_sizes=(60, 90),
         replications=2,
-        fit_config=FitConfig(3, scale=0.1, max_iters=400, seed=0),
+        fit=FitConfig(3, scale=0.1, max_iters=400),
         seed=21,
     )
     a = run_sweep(spec)
@@ -253,11 +249,10 @@ def test_sweep_rejects_non_identifiable_truth():
     clashing = LinearSharedMeasure([0.0, 0.0], [[1.0, 0.5], [1.0, 0.5]])
     model = RegressionModel(bank, proj, clashing, noise_sd=0.1)
     spec = SweepSpec(
-        setting="linear_shared",
-        truth=model,
+        model=model,
         sample_sizes=(50,),
         replications=1,
-        fit_config=FitConfig(2, scale=0.1, seed=0),
+        fit=FitConfig(2, scale=0.1),
         seed=5,
     )
     with pytest.raises(ConfigurationError):
@@ -267,10 +262,8 @@ def test_sweep_rejects_non_identifiable_truth():
 def test_sweep_spec_validation():
     bank, proj, truth = tiny_parts()
     model = RegressionModel(bank, proj, truth, noise_sd=0.1)
-    cfg = FitConfig(2, scale=0.1, seed=0)
+    cfg = FitConfig(2, scale=0.1)
     with pytest.raises(ConfigurationError):
-        SweepSpec("linear_shared", model, (100, 100), 1, cfg, 1)
+        SweepSpec(model, (100, 100), 1, cfg, 1)
     with pytest.raises(ConfigurationError):
-        SweepSpec("linear_shared", model, (100, 50), 1, cfg, 1)
-    with pytest.raises(ConfigurationError):
-        SweepSpec("non_shared", model, (50, 100), 1, cfg, 1)
+        SweepSpec(model, (100, 50), 1, cfg, 1)

@@ -229,6 +229,12 @@ def test_unknown_input_law_kind_is_configuration_error():
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("low, high", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)])
+def test_input_law_refuses_non_finite_bounds(low, high):
+    with pytest.raises(ConfigurationError, match="finite"):
+        InputLaw("uniform", low, high)
+
+
 def test_affine_expert_form_is_configuration_error():
     with pytest.raises(ConfigurationError, match="expert_form"):
         PretrainedBank.random(2, 2, seed=1, expert_form="affine")
