@@ -4,7 +4,7 @@ and the JSON form of the lab's dataclasses."""
 from __future__ import annotations
 
 import inspect
-import math
+import sys
 import typing
 from dataclasses import fields, is_dataclass
 from functools import partial
@@ -52,8 +52,9 @@ def typed_value(value, kind, what: str):
     accepted, label = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"{what} must be {label}, got {value!r}")
-    # json reads NaN and Infinity, and range checks written with < pass NaN
-    if kind is float and not math.isfinite(value):
+    # json reads NaN, Infinity and integers beyond the float range, and a
+    # range check written with < passes NaN
+    if kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigurationError(f"{what} must be finite, got {value!r}")
     return kind(value)
 

@@ -157,45 +157,31 @@ def test_fit_grad_check_section(tmp_path):
 
 
 def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
-    gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 50, "seed": 5}
-    )
+    # max_iters is the solver's only setting
+    data = json.loads((CONFIGS / "fit_linear.json").read_text())
+    data["fit"]["learning_rate"] = 0.02
+    fit_cfg = write_config(tmp_path, "fit.json", data)
     out = tmp_path / "run"
-    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
-    fit_cfg = write_config(
-        tmp_path,
-        "fit.json",
-        {
-            "version": 2,
-            "dataset": "dataset.csv",
-            "seed": 7,
-            "fit": {"atom_budget": 2, "scale": 0.1, "learning_rate": 0.02},
-        },
-    )
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
-    assert "learning_rate" in capsys.readouterr().err
-    assert not (out / "fit_result.json").exists()
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out)]) == 2
+    assert "unknown field 'learning_rate'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", ["fit", "init", "optimizer"])
 def test_fit_block_that_is_not_an_object_exits_2(tmp_path, capsys, block):
     # the fit block must be an object; the version-1 init and optimizer
     # blocks inside it are unknown fields now that it is flat
-    gen_cfg = write_config(
-        tmp_path, "gen.json", {"version": 2, "model": small_model(), "n": 50, "seed": 5}
-    )
-    out = tmp_path / "run"
-    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(out)]) == 0
-    data = {"version": 2, "dataset": "dataset.csv", "seed": 7, "fit": {"atom_budget": 2, "scale": 0.1}}
+    data = json.loads((CONFIGS / "fit_linear.json").read_text())
     if block == "fit":
         data["fit"] = 5
     else:
         data["fit"][block] = {"scale": 0.1} if block == "init" else {"max_iters": 500}
     fit_cfg = write_config(tmp_path, "fit.json", data)
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force"]) == 2
+    out = tmp_path / "run"
+    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert ("must be a JSON object" if block == "fit" else f"fit: unknown field {block!r}") in err
-    assert not (out / "fit_result.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -205,10 +191,9 @@ def test_fit_block_that_is_not_an_object_exits_2(tmp_path, capsys, block):
         (("fit",), "activations", ["tanh", "tanh"]),
         (("fit",), "restarts", 16),
         (("fit",), "kind", "multistart"),
-        (("fit",), "init", {"scale": 0.1}),
         (("fit",), "seed", 3),  # each fit's seed comes from the top-level seed
     ],
-    ids=["max_iters", "activations", "restarts", "multistart", "init", "seed"],
+    ids=["max_iters", "activations", "restarts", "multistart", "seed"],
 )
 def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, value):
     data = json.loads((CONFIGS / "fit_linear.json").read_text())
@@ -217,7 +202,7 @@ def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, v
     out = tmp_path / "run"
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out)]) == 2
     assert f"unknown field {key!r}" in capsys.readouterr().err
-    assert not (out / "fit_result.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -244,31 +229,6 @@ def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key):
 @pytest.mark.parametrize(
     "name, path, value, named",
     [
-        ("gen_linear.json", ("model", "noise_sd"), float("nan"), "noise_sd"),
-        ("smoke_sweep.json", ("fit", "box_bound"), float("inf"), "box_bound"),
-        ("fit_linear.json", ("fit", "scale"), float("nan"), "scale"),
-        ("gen_linear.json", ("model", "input_law", "low"), float("-inf"), "low"),
-        ("equiv.json", ("tolerance",), float("nan"), "tolerance"),
-    ],
-    ids=["gen-noise_sd", "sweep-box_bound", "fit-scale", "gen-input_law-low", "equiv-tolerance"],
-)
-def test_non_finite_number_exits_2(tmp_path, capsys, name, path, value, named):
-    # json reads the NaN and Infinity literals that json.dumps writes
-    data = json.loads((CONFIGS / name).read_text())
-    block = data
-    for key in path[:-1]:
-        block = block[key]
-    block[path[-1]] = value
-    cfg = write_config(tmp_path, name, data)
-    out = tmp_path / "out"
-    assert main([command_of(name), "--config", str(cfg), "--output-dir", str(out)]) == 2
-    assert f"field {named!r} must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "name, path, value, named",
-    [
         ("fit_linear.json", ("dataset",), 5, "dataset"),
         ("fit_linear.json", ("fit", "scale"), "abc", "scale"),
         ("fit_linear.json", ("fit", "atom_budget"), "x", "atom_budget"),
@@ -280,10 +240,19 @@ def test_non_finite_number_exits_2(tmp_path, capsys, name, path, value, named):
         ("gen_linear.json", ("model", "measure", "prompts"), "x", "prompts"),
         ("gen_linear.json", ("model", "input_law", "low"), "a", "low"),
         ("gen_linear.json", ("model", "proj"), {"random": {"dim": "two", "seed": 8}}, "dim"),
+        # json reads the NaN and Infinity literals that json.dumps writes
+        ("gen_linear.json", ("model", "noise_sd"), float("nan"), "noise_sd"),
+        ("smoke_sweep.json", ("fit", "box_bound"), float("inf"), "box_bound"),
+        ("fit_linear.json", ("fit", "scale"), float("nan"), "scale"),
+        ("gen_linear.json", ("model", "input_law", "low"), float("-inf"), "low"),
+        ("equiv.json", ("tolerance",), float("nan"), "tolerance"),
+        ("equiv.json", ("tolerance",), 10**400, "tolerance"),
     ],
     ids=[
         "fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials",
         "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-proj-random-dim",
+        "gen-noise_sd-nan", "sweep-box_bound-inf", "fit-scale-nan", "gen-input_law-low-inf", "equiv-tolerance-nan",
+        "equiv-tolerance-beyond-float",
     ],
 )
 def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value, named):
