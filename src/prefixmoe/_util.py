@@ -1,13 +1,18 @@
-"""Small shared helpers: read-only arrays, row softmax, typed config fields
-and the JSON form of the lab's dataclasses."""
+"""Small shared helpers: read-only arrays, row softmax, typed config fields,
+the JSON form of the lab's dataclasses, and the one JSON reader and the
+JSON and CSV writers of every file the lab reads or writes."""
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
+import json
 import sys
 import typing
 from dataclasses import fields, is_dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -109,3 +114,49 @@ def from_json(build, data: dict, where: str, **readers):
         else:
             values[name] = config_field(data, name, list if kind is np.ndarray else kind, where)
     return build(**values)
+
+
+# --------------------------------------------------------------------------
+# files
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``. A missing file, malformed
+    JSON, an integer literal beyond Python's digit limit or a top level that
+    is not an object is a ConfigurationError naming the file; ``what`` says
+    what the file is when it is missing."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigurationError(f"{what} not found: {path}")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable text, or an integer of more than 4,300 digits
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: top level must be a JSON object")
+    return data
+
+
+def json_text(data) -> str:
+    """Indented JSON with sorted keys and a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """CSV with a header line: floats by ``repr``, so they read back bit for
+    bit, booleans as ``true``/``false`` and anything else by ``str``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
+    return buf.getvalue()

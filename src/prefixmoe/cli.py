@@ -3,47 +3,32 @@
 Every subcommand takes one JSON config, ``"version": 2`` plus the fields
 of the command's schema (an unknown key at any level, a value of the
 wrong JSON type or a non-finite number exits 2 and is named), and a small
-set of flags. It writes its outputs and a run manifest into
-``--output-dir``, and never overwrites existing files unless ``--force``
-is given. Exit codes: 0 success, 1 acceptance failure, 2 configuration
-error. Relative paths inside configs resolve against the output directory.
+set of flags. One runner, ``run_command``, serves every command: it loads
+the config, names the outputs from it and refuses existing ones before
+any work unless ``--force`` is given, runs the command, and writes the
+files the command returns and a run manifest into ``--output-dir``.
+Exit codes: 0 success, 1 acceptance failure (the reason goes to stderr),
+2 configuration error. Relative paths inside configs resolve against the
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from ._util import config_field, from_json
+from ._util import config_field, csv_text, from_json, json_text, read_json
 from .errors import ConfigurationError, UsageError
-from .estimation import (
-    ESTIMATOR_NOTE,
-    FitConfig,
-    fit,
-    gradient_check,
-)
-from .experiments import (
-    SweepSpec,
-    l2_norm,
-    run_sweep,
-    witness_closed_form,
-    witness_sequence,
-)
-from .model import (
-    Dataset,
-    RegressionModel,
-    check_identifiability,
-    gen_dataset,
-    model_from_dict,
-    regression_fn,
-)
+from .estimation import ESTIMATOR_NOTE, FitConfig, fit, gradient_check
+from .experiments import WITNESS_COLUMNS, SweepSpec, run_sweep, witness_table
+from .model import Dataset, RegressionModel, check_identifiability, gen_dataset, model_from_dict
 from .attention import run_equivalence_trials
-from .voronoi import loss_d1r, loss_for_setting
+from .voronoi import loss_for_setting
 from . import __version__
 
 WITNESS_AGREEMENT_TOL = 1e-10
@@ -98,14 +83,7 @@ class FitCommandConfig:
 def _load_config(path: Path, schema, seed_override):
     """The config at ``path`` as an instance of ``schema``, with ``--seed``
     in place of its ``seed`` when given."""
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: top level must be a JSON object")
+    data = read_json(path, "config file")
     if config_field(data, "version", int, str(path)) != 2:
         raise ConfigurationError(
             f"{path}: field 'version' must be 2 (from version 1: drop 'setting', 'voronoi_r' and 'fit.init.kind', "
@@ -128,57 +106,11 @@ def _load_config(path: Path, schema, seed_override):
 
 
 # --------------------------------------------------------------------------
-# output plumbing
+# subcommands: each takes its config and the parsed arguments and returns
+# its output files (name -> text) and a failure message or None
 
 
-def _resolve(path_str: str, outdir: Path) -> Path:
-    p = Path(path_str)
-    return p if p.is_absolute() else outdir / p
-
-
-def _guard_outputs(paths, force: bool) -> None:
-    clashes = [str(p) for p in paths if p.exists()]
-    if clashes and not force:
-        raise ConfigurationError(
-            "refusing to overwrite existing outputs (use --force): " + ", ".join(clashes)
-        )
-
-
-def _write_manifest(outdir: Path, command: str, config_path: Path, seed_override) -> None:
-    manifest = {
-        "version": 1,
-        "command": command,
-        "config_path": str(config_path),
-        "config_hash": hashlib.sha256(config_path.read_bytes()).hexdigest(),
-        "output_dir": str(outdir),
-        "seed_override": seed_override,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tool_version": __version__,
-    }
-    (outdir / "run_manifest.json").write_text(_json_text(manifest))
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _prepare(args, schema, output_names) -> tuple:
-    """Load the config and create the output directory, refusing existing
-    outputs before any work is done."""
-    config_path = Path(args.config)
-    cfg = _load_config(config_path, schema, args.seed)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _guard_outputs([outdir / name for name in output_names] + [outdir / "run_manifest.json"], args.force)
-    return cfg, config_path, outdir
-
-
-# --------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_equiv(args) -> int:
-    cfg, config_path, outdir = _prepare(args, EquivConfig, ["equiv_report.json"])
+def cmd_equiv(cfg: EquivConfig, args):
     report = run_equivalence_trials(
         n_trials=cfg.trials,
         seed=cfg.seed,
@@ -188,75 +120,49 @@ def cmd_equiv(args) -> int:
         heads=cfg.heads,
         max_prompts=cfg.max_prompts,
     )
-    (outdir / "equiv_report.json").write_text(_json_text(report.to_dict()))
-    _write_manifest(outdir, "equiv", config_path, args.seed)
-    if not report.passed:
-        print(
-            f"equivalence failure: prefix diff {report.max_abs_diff_prefix:.3e}, "
-            f"prompt diff {report.max_abs_diff_prompt:.3e} > tol {report.tolerance:.1e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failure = None if report.passed else (
+        f"equivalence failure: prefix diff {report.max_abs_diff_prefix:.3e}, "
+        f"prompt diff {report.max_abs_diff_prompt:.3e} > tol {report.tolerance:.1e}"
+    )
+    return {"equiv_report.json": json_text(report.to_dict())}, failure
 
 
-def cmd_sweep(args) -> int:
-    config_path = Path(args.config)
-    spec = _load_config(config_path, SweepSpec, args.seed)
-    if args.dry_run:
-        plan = {
-            "cells": [
-                {"n": n, "rep": rep, **{f"{k}_seed": v for k, v in spec.cell_seeds(n, rep).items()}}
-                for n in spec.sample_sizes
-                for rep in range(spec.replications)
-            ],
-            "setting": spec.setting,
-            "seed": spec.seed,
-        }
-        print(_json_text(plan), end="")
-        return 0
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _sweep_outputs(spec: SweepSpec) -> list:
     loss_name = loss_for_setting(spec.setting)[0]
-    names = ["sweep_results.csv", "sweep_summary.json", f"plot_{loss_name}.dat", "plot_l2.dat"]
-    _guard_outputs([outdir / name for name in names + ["run_manifest.json"]], args.force)
+    return ["sweep_results.csv", "sweep_summary.json", f"plot_{loss_name}.dat", "plot_l2.dat"]
+
+
+def _sweep_plan(spec: SweepSpec) -> dict:
+    cells = [
+        {"n": n, "rep": rep, **{f"{k}_seed": v for k, v in spec.cell_seeds(n, rep).items()}}
+        for n in spec.sample_sizes
+        for rep in range(spec.replications)
+    ]
+    return {"cells": cells, "setting": spec.setting, "seed": spec.seed}
+
+
+def cmd_sweep(spec: SweepSpec, args):
     result = run_sweep(spec)
-    (outdir / "sweep_results.csv").write_text(result.csv_text())
-    (outdir / "sweep_summary.json").write_text(result.json_text())
-    (outdir / f"plot_{loss_name}.dat").write_text(result.plot_text("loss"))
-    (outdir / "plot_l2.dat").write_text(result.plot_text("l2"))
-    _write_manifest(outdir, "sweep", config_path, args.seed)
+    files = {
+        "sweep_results.csv": result.csv_text(),
+        "sweep_summary.json": result.json_text(),
+        f"plot_{result.loss_name}.dat": result.plot_text("loss"),
+        "plot_l2.dat": result.plot_text("l2"),
+    }
     bad = [a for a in result.aggregates if a["failure_count"] > 0.5 * (a["fit_count"] + a["failure_count"])]
     if bad:
         sizes = ", ".join(str(a["n"]) for a in bad)
-        print(f"sweep failure: more than half of the fits failed at n in {{{sizes}}}", file=sys.stderr)
-        return 1
-    return 0
+        return files, f"sweep failure: more than half of the fits failed at n in {{{sizes}}}"
+    return files, None
 
 
-def cmd_witness(args) -> int:
-    cfg, config_path, outdir = _prepare(args, WitnessConfig, ["witness_table.csv", "witness_summary.json"])
-    truth_model, r = cfg.model, cfg.r
-    truth = truth_model.measure
-    truth_fn = regression_fn(truth_model.bank, truth_model.proj, truth)
-    rows = []
-    worst = 0.0
-    for n in cfg.sample_sizes:
-        witness = witness_sequence(truth, n, r)
-        computed = loss_d1r(witness, truth, r)
-        closed = witness_closed_form(truth, n, r)
-        witness_fn = regression_fn(truth_model.bank, truth_model.proj, witness)
-        l2 = l2_norm(witness_fn, truth_fn, truth_model.input_law, truth_model.proj.dim)
-        worst = max(worst, abs(computed - closed))
-        rows.append({"n": n, "closed_form": closed, "computed": computed, "l2": l2, "ratio": l2 / computed})
-    lines = ["n,closed_form,computed,l2,ratio"]
-    for row in rows:
-        lines.append(f"{row['n']},{row['closed_form']!r},{row['computed']!r},{row['l2']!r},{row['ratio']!r}")
-    table_text = "\n".join(lines) + "\n"
+def cmd_witness(cfg: WitnessConfig, args):
+    rows = witness_table(cfg.model, cfg.r, cfg.sample_sizes)
+    worst = max(0.0, *(abs(row["computed"] - row["closed_form"]) for row in rows))
     ratios = [row["ratio"] for row in rows]
     summary = {
         "version": 1,
-        "r": r,
+        "r": cfg.r,
         "sample_sizes": cfg.sample_sizes,
         "seed": cfg.seed,
         "max_abs_disagreement": worst,
@@ -265,23 +171,21 @@ def cmd_witness(args) -> int:
         "ratios_strictly_decreasing": all(b < a for a, b in zip(ratios, ratios[1:])),
         "rows": rows,
     }
-    (outdir / "witness_table.csv").write_text(table_text)
-    (outdir / "witness_summary.json").write_text(_json_text(summary))
-    _write_manifest(outdir, "witness", config_path, args.seed)
+    files = {
+        "witness_table.csv": csv_text(WITNESS_COLUMNS, ([row[key] for key in WITNESS_COLUMNS] for row in rows)),
+        "witness_summary.json": json_text(summary),
+    }
     if worst > WITNESS_AGREEMENT_TOL:
-        print(
-            f"witness failure: computed loss disagrees with the closed form by {worst:.3e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        return files, f"witness failure: computed loss disagrees with the closed form by {worst:.3e}"
+    return files, None
 
 
-def cmd_gen(args) -> int:
-    cfg, config_path, outdir = _prepare(args, GenConfig, [])
+def _gen_outputs(cfg: GenConfig) -> list:
+    return [f"{cfg.name}.csv", str(Dataset.meta_path(f"{cfg.name}.csv"))]
+
+
+def cmd_gen(cfg: GenConfig, args):
     model = cfg.model
-    csv_path = outdir / f"{cfg.name}.csv"
-    _guard_outputs([csv_path, Dataset.meta_path(csv_path)], args.force)
     if model.measure.n_atoms >= 1:
         ident = check_identifiability(model.measure, model.proj)
         if not ident.passed:
@@ -291,16 +195,13 @@ def cmd_gen(args) -> int:
                 file=sys.stderr,
             )
     dataset = gen_dataset(model, cfg.n, cfg.seed)
-    dataset.save(csv_path)
-    _write_manifest(outdir, "gen", config_path, args.seed)
-    return 0
+    csv_name, meta_name = _gen_outputs(cfg)
+    return {csv_name: dataset.csv_text(), meta_name: dataset.meta_text()}, None
 
 
-def cmd_fit(args) -> int:
-    cfg, config_path, outdir = _prepare(args, FitCommandConfig, ["fit_result.json"])
-    dataset_path = _resolve(cfg.dataset, outdir)
-    if not dataset_path.is_file():
-        raise ConfigurationError(f"dataset file not found: {dataset_path}")
+def cmd_fit(cfg: FitCommandConfig, args):
+    # a relative dataset path resolves against the output directory
+    dataset_path = Path(args.output_dir) / cfg.dataset
     dataset = Dataset.load(dataset_path)
     meta_where = str(Dataset.meta_path(dataset_path))
     truth_model = model_from_dict(
@@ -325,20 +226,71 @@ def cmd_fit(args) -> int:
                     result.measure, truth_model.bank, truth_model.proj, dataset
                 ),
             }
-    (outdir / "fit_result.json").write_text(_json_text(payload))
-    _write_manifest(outdir, "fit", config_path, args.seed)
-    return 1 if result.failed else 0
+    failure = f"fit failure: {result.failure_reason}" if result.failed else None
+    return {"fit_result.json": json_text(payload)}, failure
+
+
+class Command(NamedTuple):
+    run: Callable
+    schema: type
+    outputs: Callable  # config -> the names of the files ``run`` returns
+    help: str
+    flag: tuple = ()  # (option, help) of the command's one extra switch
+
+
+COMMANDS = {
+    "equiv": Command(cmd_equiv, EquivConfig, lambda cfg: ["equiv_report.json"],
+                     "randomized forward-vs-decomposition checks"),
+    "sweep": Command(cmd_sweep, SweepSpec, _sweep_outputs, "convergence-rate sweep over sample sizes",
+                     ("--dry-run", "print the resolved plan and exit")),
+    "witness": Command(cmd_witness, WitnessConfig, lambda cfg: ["witness_table.csv", "witness_summary.json"],
+                       "slow-rate witness table"),
+    "gen": Command(cmd_gen, GenConfig, _gen_outputs, "generate a dataset CSV with sidecar metadata"),
+    "fit": Command(cmd_fit, FitCommandConfig, lambda cfg: ["fit_result.json"],
+                   "least-squares fit on a generated dataset",
+                   ("--grad-check", "emit a finite-difference gradient check section")),
+}
+
+
+def run_command(args) -> int:
+    """Load the config, refuse existing outputs before any work, run the
+    command, and write its files and the run manifest."""
+    command = COMMANDS[args.command]
+    config_path = Path(args.config)
+    cfg = _load_config(config_path, command.schema, args.seed)
+    if getattr(args, "dry_run", False):
+        print(json_text(_sweep_plan(cfg)), end="")
+        return 0
+    outdir = Path(args.output_dir)
+    names = [*command.outputs(cfg), "run_manifest.json"]
+    outdir.mkdir(parents=True, exist_ok=True)
+    clashes = [str(outdir / name) for name in names if (outdir / name).exists()]
+    if clashes and not args.force:
+        raise ConfigurationError("refusing to overwrite existing outputs (use --force): " + ", ".join(clashes))
+    files, failure = command.run(cfg, args)
+    files["run_manifest.json"] = json_text(
+        {
+            "version": 1,
+            "command": args.command,
+            "config_path": str(config_path),
+            "config_hash": hashlib.sha256(config_path.read_bytes()).hexdigest(),
+            "output_dir": str(outdir),
+            "seed_override": args.seed,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "tool_version": __version__,
+        }
+    )
+    assert list(files) == names, "a command must return exactly the outputs it declares"
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 # --------------------------------------------------------------------------
 # argument parsing
-
-
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to the JSON config")
-    sub.add_argument("--output-dir", default=".", help="directory for outputs (default: .)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,38 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"prefixmoe {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    equiv = subs.add_parser("equiv", help="randomized forward-vs-decomposition checks")
-    _add_common(equiv)
-    equiv.set_defaults(func=cmd_equiv)
-
-    sweep = subs.add_parser("sweep", help="convergence-rate sweep over sample sizes")
-    _add_common(sweep)
-    sweep.add_argument("--dry-run", action="store_true", help="print the resolved plan and exit")
-    sweep.set_defaults(func=cmd_sweep)
-
-    witness = subs.add_parser("witness", help="slow-rate witness table")
-    _add_common(witness)
-    witness.set_defaults(func=cmd_witness)
-
-    gen = subs.add_parser("gen", help="generate a dataset CSV with sidecar metadata")
-    _add_common(gen)
-    gen.set_defaults(func=cmd_gen)
-
-    fit_cmd = subs.add_parser("fit", help="least-squares fit on a generated dataset")
-    _add_common(fit_cmd)
-    fit_cmd.add_argument(
-        "--grad-check", action="store_true", help="emit a finite-difference gradient check section"
-    )
-    fit_cmd.set_defaults(func=cmd_fit)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", required=True, help="path to the JSON config")
+        sub.add_argument("--output-dir", default=".", help="directory for outputs (default: .)")
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sub.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
+        if command.flag:
+            sub.add_argument(command.flag[0], action="store_true", help=command.flag[1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except (ConfigurationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Convergence-rate experiments: exact L2 function distances, the
-slow-rate witness construction for untied prompts, sample-size sweeps, and
-log-log slope fitting.
+slow-rate witness construction for untied prompts and its table,
+sample-size sweeps, and log-log slope fitting.
 
 Seeding protocol: every sweep cell (n, rep) derives child seeds with
 ``child_seed(root, n, rep, role)`` where the hash is SHA-256 of the
@@ -13,18 +13,15 @@ draws per cell.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from ._util import to_json
+from ._util import csv_text, json_text, to_json
 from .errors import ConfigurationError, UsageError
 from .estimation import ESTIMATOR_NOTE, SOLVER_TOLERANCES, FitConfig, fit
 from .model import (
@@ -43,6 +40,7 @@ __all__ = [
     "l2_norm",
     "witness_sequence",
     "witness_closed_form",
+    "witness_table",
     "SlopeFit",
     "fit_slope",
     "SweepSpec",
@@ -119,6 +117,27 @@ def witness_closed_form(truth: NonSharedMeasure, index: int, r: int) -> float:
     return surplus + (math.exp(truth.log_weights[0]) + surplus) * n**-r
 
 
+WITNESS_COLUMNS = ("n", "closed_form", "computed", "l2", "ratio")
+
+
+def witness_table(model: RegressionModel, r: int, sample_sizes) -> list:
+    """One row per witness index n in ``sample_sizes``: the closed-form and
+    the computed loss of the witness, its L2 distance to the truth of the
+    untied ``model``, and the ratio of the two."""
+    truth = model.measure
+    loss = loss_for_setting("non_shared", r)[1]
+    truth_fn = regression_fn(model.bank, model.proj, truth)
+    rows = []
+    for n in sample_sizes:
+        witness = witness_sequence(truth, n, r)
+        computed = loss(witness, truth)
+        closed = witness_closed_form(truth, n, r)
+        witness_fn = regression_fn(model.bank, model.proj, witness)
+        l2 = l2_norm(witness_fn, truth_fn, model.input_law, model.proj.dim)
+        rows.append({"n": n, "closed_form": closed, "computed": computed, "l2": l2, "ratio": l2 / computed})
+    return rows
+
+
 # --------------------------------------------------------------------------
 # slope fitting
 
@@ -162,7 +181,7 @@ def fit_slope(xs, ys) -> SlopeFit:
     resid = ys - (intercept + slope * xs)
     dof = n - 2
     stderr = float(math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx))
-    half_width = float(stats.t.ppf(0.975, dof) * stderr)
+    half_width = float(stdtrit(dof, 0.975) * stderr)
     return SlopeFit(slope, intercept, stderr, half_width, n)
 
 
@@ -245,26 +264,10 @@ class SweepResult:
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row["setting"],
-                    row["n"],
-                    row["rep"],
-                    row["loss_name"],
-                    repr(float(row["loss_value"])),
-                    repr(float(row["l2_error"])),
-                    repr(float(row["objective"])),
-                    "true" if row["converged"] else "false",
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(_CSV_COLUMNS, ([row[key] for key in _CSV_COLUMNS] for row in self.rows))
 
     def plot_text(self, kind: str) -> str:
         """Two-column (log n, log mean value) plot data for gnuplot-style tools."""
@@ -357,10 +360,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         return fit_slope([p[0] for p in points], [p[1] for p in points])
 
     exclusions = sum(1 for r in rows if r["failed"])
-    public_rows = tuple(
-        {k: r[k] for k in ("setting", "n", "rep", "loss_name", "loss_value", "l2_error", "objective", "converged")}
-        for r in rows
-    )
+    public_rows = tuple({k: r[k] for k in _CSV_COLUMNS} for r in rows)
     return SweepResult(
         loss_name=loss_name,
         spec_echo=spec.echo(),

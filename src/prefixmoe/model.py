@@ -22,8 +22,6 @@ Log-weights ``b`` enter the gate logits additively, so atom weights are
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +31,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from ._util import config_field, from_json, frozen_array, softmax_rows, to_json, typed_value
+from ._util import config_field, csv_text, from_json, frozen_array, json_text, read_json, softmax_rows, to_json
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -510,33 +508,23 @@ class Dataset:
         return p.with_name(p.stem + ".meta.json")
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x_{j + 1}" for j in range(self.dim)] + ["y"])
-        for row, value in zip(self.x, self.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(value))])
-        return buf.getvalue()
+        header = [f"x_{j + 1}" for j in range(self.dim)] + ["y"]
+        return csv_text(header, ([*row, value] for row, value in zip(self.x, self.y)))
 
-    def save(self, csv_path) -> None:
-        """Write the sample as CSV plus a sidecar metadata JSON."""
-        path = Path(csv_path)
-        path.write_text(self.csv_text())
-        meta = {"version": 1, "seed": self.seed, "n": self.n_samples, **self.provenance}
-        self.meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    def meta_text(self) -> str:
+        """The sidecar metadata: the seed, the size and the provenance."""
+        return json_text({"version": 1, "seed": self.seed, "n": self.n_samples, **self.provenance})
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
-        """Read a sample written by ``save``. A missing, empty or malformed
-        CSV or sidecar is a ConfigurationError naming the file."""
+        """Read a sample written as ``csv_text`` with its ``meta_text``
+        sidecar. A missing, empty or malformed CSV or sidecar is a
+        ConfigurationError naming the file."""
         path = Path(csv_path)
+        if not path.is_file():
+            raise ConfigurationError(f"dataset file not found: {path}")
         meta_path = cls.meta_path(path)
-        if not meta_path.is_file():
-            raise ConfigurationError(f"dataset metadata not found: {meta_path}")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{meta_path}: {exc}") from exc
-        meta = typed_value(meta, dict, f"{meta_path}: the metadata")
+        meta = read_json(meta_path, "dataset metadata")
         seed = config_field(meta, "seed", int, str(meta_path), 0)
         try:
             with path.open(newline="") as fh:
@@ -571,7 +559,6 @@ def gen_dataset(model: RegressionModel, n_samples: int, seed: int) -> Dataset:
     noise = rng.normal(0.0, model.noise_sd, size=n_samples)
     y = _predict(model.bank, model.proj, model.measure, x) + noise
     provenance = {
-        "setting": model.measure.variant,
         "seed": int(seed),
         "n": int(n_samples),
         "model": model_to_dict(model),

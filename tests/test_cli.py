@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: configs, outputs, exit codes."""
 
 import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prefixmoe.cli import EquivConfig, FitCommandConfig, GenConfig, WitnessConfig, _load_config, main
+from prefixmoe.estimation import FitResult
 from prefixmoe.experiments import SweepSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -103,6 +107,38 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["equiv", "--config", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]) == 2
 
 
+def _put_huge_integer(path, key):
+    # an integer of 5,001 digits; json.dumps cannot write it either, so it
+    # goes into the text, at the key placed first
+    data = json.loads(path.read_text())
+    text = json.dumps({key: 0, **{k: v for k, v in data.items() if k != key}})
+    path.write_text(text.replace(f'"{key}": 0', f'"{key}": 1' + "0" * 5000, 1))
+
+
+def _huge_trials(tmp_path, out):
+    path = write_config(tmp_path, "equiv.json", json.loads((CONFIGS / "equiv.json").read_text()))
+    _put_huge_integer(path, "trials")
+    return ["equiv", "--config", str(path), "--output-dir", str(out)], path
+
+
+def _huge_sidecar_seed(tmp_path, out):
+    assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
+    _put_huge_integer(out / "linear_dataset.meta.json", "seed")
+    return ["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"], (
+        out / "linear_dataset.meta.json"
+    )
+
+
+@pytest.mark.parametrize("make", [_huge_trials, _huge_sidecar_seed], ids=["config", "sidecar"])
+def test_integer_beyond_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, make):
+    # json refuses to convert an integer literal of more than 4,300 digits
+    argv, named = make(tmp_path, tmp_path / "out")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}: " in err and "4300" in err
+
+
 # -----------------------------------------------------------------------
 # gen + fit
 
@@ -154,6 +190,20 @@ def test_fit_grad_check_section(tmp_path):
     assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(out), "--force", "--grad-check"]) == 0
     payload = json.loads((out / "fit_result.json").read_text())
     assert payload["gradient_check"]["max_rel_error"] <= 1e-5
+
+
+def test_failed_fit_writes_its_result_and_says_why(tmp_path, capsys, monkeypatch):
+    def failed_fit(dataset, bank, proj, reference, config, seed):
+        return FitResult(reference, math.nan, 0, False, math.nan, failed=True, failure_reason="a non-finite start")
+
+    out = tmp_path / "run"
+    assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
+    monkeypatch.setattr("prefixmoe.cli.fit", failed_fit)
+    capsys.readouterr()
+    assert main(["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"]) == 1
+    assert capsys.readouterr().err == "fit failure: a non-finite start\n"
+    payload = json.loads((out / "fit_result.json").read_text())
+    assert payload["fit"]["failed"] and "voronoi_loss_vs_reference" not in payload
 
 
 def test_fit_rejects_optimizer_keys_other_than_max_iters(tmp_path, capsys):
@@ -431,14 +481,20 @@ def test_rerun_into_same_directory_refuses_before_work(tmp_path, monkeypatch):
         },
     )
     sweep_cfg = write_config(tmp_path, "sweep.json", sweep_config())
-    run, sweep_out = tmp_path / "run", tmp_path / "sweep"
-    assert main(["gen", "--config", str(gen_cfg), "--output-dir", str(run)]) == 0
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(run), "--force"]) == 0
-    assert main(["sweep", "--config", str(sweep_cfg), "--output-dir", str(sweep_out)]) == 0
-    monkeypatch.setattr("prefixmoe.cli.fit", _never_called)
-    monkeypatch.setattr("prefixmoe.cli.run_sweep", _never_called)
-    assert main(["fit", "--config", str(fit_cfg), "--output-dir", str(run)]) == 2
-    assert main(["sweep", "--config", str(sweep_cfg), "--output-dir", str(sweep_out)]) == 2
+    equiv_cfg = write_config(tmp_path, "equiv.json", {"version": 2, "trials": 2, "seed": 3})
+    witness_cfg = write_config(tmp_path, "witness.json", witness_config())
+    runs = {
+        "gen": (gen_cfg, tmp_path / "run", "gen_dataset"),
+        "fit": (fit_cfg, tmp_path / "run", "fit"),
+        "sweep": (sweep_cfg, tmp_path / "sweep", "run_sweep"),
+        "equiv": (equiv_cfg, tmp_path / "equiv", "run_equivalence_trials"),
+        "witness": (witness_cfg, tmp_path / "witness", "witness_table"),
+    }
+    for command, (cfg, out, _) in runs.items():
+        assert main([command, "--config", str(cfg), "--output-dir", str(out), "--force"]) == 0
+    for command, (cfg, out, work) in runs.items():
+        monkeypatch.setattr(f"prefixmoe.cli.{work}", _never_called)
+        assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 2, command
 
 
 def test_gen_is_byte_identical_across_runs(tmp_path):
@@ -607,3 +663,15 @@ def test_bundled_smoke_sweep_runs_deterministically(tmp_path):
     assert main(["sweep", "--config", cfg, "--output-dir", str(out_b)]) == 0
     for name in ("sweep_results.csv", "sweep_summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# -----------------------------------------------------------------------
+# start-up
+
+
+def test_importing_the_cli_does_not_import_scipy_stats():
+    # scipy.stats is the costliest scipy import; the t quantile comes from scipy.special
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import prefixmoe.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

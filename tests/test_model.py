@@ -250,9 +250,10 @@ def test_dataset_round_trips_through_csv(tmp_path):
     model = RegressionModel(bank, make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.2)
     ds = gen_dataset(model, 30, seed=9)
     path = tmp_path / "sample.csv"
-    ds.save(path)
+    path.write_text(ds.csv_text())
+    Dataset.meta_path(path).write_text(ds.meta_text())
     clone = Dataset.load(path)
     assert np.array_equal(clone.x, ds.x)
     assert np.array_equal(clone.y, ds.y)
-    assert clone.provenance["setting"] == "linear_shared"
+    assert clone.provenance["model"]["measure"]["variant"] == "linear_shared"
     assert clone.seed == 9
