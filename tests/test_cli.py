@@ -9,15 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefixmoe.cli import EquivConfig, FitCommandConfig, GenConfig, WitnessConfig, _load_config, main
+from prefixmoe import cli
+from prefixmoe.cli import _load_config, main
 from prefixmoe.estimation import FitResult
-from prefixmoe.experiments import SweepSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the command of each bundled config; every other bundled config is a sweep's
 COMMANDS = {"equiv.json": "equiv", "witness.json": "witness", "gen_linear.json": "gen", "fit_linear.json": "fit"}
-SCHEMAS = {"equiv": EquivConfig, "witness": WitnessConfig, "gen": GenConfig, "fit": FitCommandConfig,
-           "sweep": SweepSpec}
 
 
 def command_of(name):
@@ -123,20 +121,30 @@ def _huge_trials(tmp_path, out):
 
 def _huge_sidecar_seed(tmp_path, out):
     assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
-    _put_huge_integer(out / "linear_dataset.meta.json", "seed")
-    return ["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"], (
-        out / "linear_dataset.meta.json"
-    )
+    meta = out / "linear_dataset.meta.json"
+    _put_huge_integer(meta, "seed")
+    return ["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"], meta
 
 
-@pytest.mark.parametrize("make", [_huge_trials, _huge_sidecar_seed], ids=["config", "sidecar"])
-def test_integer_beyond_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, make):
-    # json refuses to convert an integer literal of more than 4,300 digits
+def _config_not_utf8(tmp_path, out):
+    path = tmp_path / "equiv.json"
+    path.write_bytes(b'{"version": 2, "trials": 1, "seed": \xff}')
+    return ["equiv", "--config", str(path), "--output-dir", str(out)], path
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [(_huge_trials, "4300"), (_huge_sidecar_seed, "4300"), (_config_not_utf8, "utf-8")],
+    ids=["config-huge-integer", "sidecar-huge-integer", "config-not-utf8"],
+)
+def test_json_that_python_cannot_read_exits_2_naming_the_file(tmp_path, capsys, make, reason):
+    # json refuses an integer literal of more than 4,300 digits, and text
+    # that is not UTF-8 cannot be decoded; neither is a JSONDecodeError
     argv, named = make(tmp_path, tmp_path / "out")
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {named}: " in err and "4300" in err
+    assert f"error: {named}: " in err and reason in err
 
 
 # -----------------------------------------------------------------------
@@ -653,7 +661,7 @@ def test_bundled_configs_parse(name):
     # a wrong type or a config no command accepts fails here
     data = json.loads((CONFIGS / name).read_text())
     assert data["version"] == 2
-    _load_config(CONFIGS / name, SCHEMAS[command_of(name)], None)
+    _load_config(CONFIGS / name, cli.COMMANDS[command_of(name)].schema, None)
 
 
 def test_bundled_smoke_sweep_runs_deterministically(tmp_path):
@@ -670,7 +678,7 @@ def test_bundled_smoke_sweep_runs_deterministically(tmp_path):
 
 
 def test_importing_the_cli_does_not_import_scipy_stats():
-    # scipy.stats is the costliest scipy import; the t quantile comes from scipy.special
+    # scipy.stats is slow to import and gave only the t quantile, which scipy.special has
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = f"import sys; sys.path.insert(0, {src!r}); import prefixmoe.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
