@@ -16,16 +16,28 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+import scipy
+
 from ._util import config_field, csv_text, from_json, json_text, read_json
 from .errors import ConfigurationError, UsageError
 from .estimation import ESTIMATOR_NOTE, FitConfig, fit, gradient_check
-from .experiments import WITNESS_COLUMNS, SweepSpec, run_sweep, witness_table
+from .experiments import (
+    BLAS_THREAD_VARIABLES,
+    WITNESS_COLUMNS,
+    SweepSpec,
+    pool_size,
+    run_sweep,
+    usable_cpus,
+    witness_table,
+)
 from .model import Dataset, RegressionModel, check_identifiability, gen_dataset, model_from_dict
 from .attention import run_equivalence_trials
 from .voronoi import loss_for_setting
@@ -135,8 +147,7 @@ def _sweep_outputs(spec: SweepSpec) -> list:
 def _sweep_plan(spec: SweepSpec) -> dict:
     cells = [
         {"n": n, "rep": rep, **{f"{k}_seed": v for k, v in spec.cell_seeds(n, rep).items()}}
-        for n in spec.sample_sizes
-        for rep in range(spec.replications)
+        for n, rep in spec.cells
     ]
     return {"cells": cells, "setting": spec.setting, "seed": spec.seed}
 
@@ -236,13 +247,15 @@ class Command(NamedTuple):
     outputs: Callable  # config -> the names of the files ``run`` returns
     help: str
     flag: tuple = ()  # (option, help) of the command's one extra switch
+    manifest: Callable = lambda cfg: {}  # config -> the command's own run manifest fields
 
 
 COMMANDS = {
     "equiv": Command(cmd_equiv, EquivConfig, lambda cfg: ["equiv_report.json"],
                      "randomized forward-vs-decomposition checks"),
     "sweep": Command(cmd_sweep, SweepSpec, _sweep_outputs, "convergence-rate sweep over sample sizes",
-                     ("--dry-run", "print the resolved plan and exit")),
+                     ("--dry-run", "print the resolved plan and exit"),
+                     lambda spec: {"pool_size": pool_size(spec)}),
     "witness": Command(cmd_witness, WitnessConfig, lambda cfg: ["witness_table.csv", "witness_summary.json"],
                        "slow-rate witness table"),
     "gen": Command(cmd_gen, GenConfig, _gen_outputs, "generate a dataset CSV with sidecar metadata"),
@@ -278,6 +291,11 @@ def run_command(args) -> int:
             "seed_override": args.seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+            "affinity_cpus": usable_cpus(),
+            **command.manifest(cfg),
         }
     )
     assert list(files) == names, "a command must return exactly the outputs it declares"

@@ -174,8 +174,9 @@ class _Problem:
         self.xb = self.x @ proj.b  # row i holds (b^T x_i)^T
         self.c = proj.c
 
-    def residual_and_jacobian(self, theta: np.ndarray):
-        """Residual ``f(x_i) - y_i`` and its Jacobian, one row per sample."""
+    def forward(self, theta: np.ndarray):
+        """Residual ``f(x_i) - y_i``, one entry per sample, and the arrays
+        ``jacobian`` builds the Jacobian from."""
         b, arrays = _split(theta, self.template)
         kappa, values, vjp = self.template.prompt_map(*arrays)
         cvals = values @ self.c
@@ -187,7 +188,12 @@ class _Problem:
         denom = e.sum(axis=1)
         gates = e[:, n_bank:] / denom[:, None]  # prefix gates, (samples, atoms)
         f = (e[:, :n_bank] * self.pre_values).sum(axis=1) / denom + gates @ cvals
+        return f - self.y, (f, gates, cvals, vjp)
 
+    def jacobian(self, state) -> np.ndarray:
+        """Residual Jacobian, one row per sample, from the ``state`` that
+        ``forward`` returned at the same parameters."""
+        f, gates, cvals, vjp = state
         # df/d(log-weight), df/d(projected key) and df/d(expert value) per atom
         d_bias = gates * (cvals[None, :] - f[:, None])
         d_key = d_bias[:, :, None] * self.xb[:, None, :]
@@ -197,14 +203,14 @@ class _Problem:
         jac = np.concatenate([d_bias[:, :, None], *atom_cols], axis=2).reshape(rows, -1)
         if shared_cols:
             jac = np.hstack([jac, *shared_cols])
-        return f - self.y, jac
+        return jac
 
 
 def gradient(measure, bank: PretrainedBank, proj: ProjectionPair, dataset: Dataset) -> np.ndarray:
     """Analytic gradient of ``objective`` in the flat parameter layout."""
     problem = _Problem(measure, bank, proj, dataset)
-    residual, jac = problem.residual_and_jacobian(pack_parameters(measure))
-    return 2.0 * (residual @ jac)
+    residual, state = problem.forward(pack_parameters(measure))
+    return 2.0 * (residual @ problem.jacobian(state))
 
 
 def finite_difference_gradient(
@@ -259,22 +265,27 @@ def _perturbed_init(reference, budget: int, scale: float, rng):
 
 
 def _minimize(problem: _Problem, theta0: np.ndarray, max_iters: int, box_bound: float):
-    theta = np.clip(theta0, -box_bound, box_bound)
-    residual, jac = problem.residual_and_jacobian(theta)
-    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(jac))):
-        return None
-    cache = {"theta": theta, "jac": jac}
+    # TRF asks for the residual at every trial point but for the Jacobian
+    # only at accepted ones, so ``fun`` keeps the forward arrays of its last
+    # point and ``jac_at`` builds the Jacobian from them
+    cache = {}
 
     def fun(x):
-        cache["theta"] = x.copy()
-        residual, cache["jac"] = problem.residual_and_jacobian(x)
-        return residual
+        if "theta" not in cache or not np.array_equal(x, cache["theta"]):
+            cache["theta"] = x.copy()
+            cache["residual"], cache["state"] = problem.forward(x)
+            cache.pop("jac", None)
+        return cache["residual"]
 
     def jac_at(x):
-        if not np.array_equal(x, cache["theta"]):
-            fun(x)
+        fun(x)
+        if "jac" not in cache:
+            cache["jac"] = problem.jacobian(cache["state"])
         return cache["jac"]
 
+    theta = np.clip(theta0, -box_bound, box_bound)
+    if not (np.all(np.isfinite(fun(theta))) and np.all(np.isfinite(jac_at(theta)))):
+        return None
     sol = least_squares(
         fun,
         theta,

@@ -9,12 +9,22 @@ Because the derivation depends on the sample size value rather than its
 index, extending the grid never perturbs existing cells, and paired sweeps
 over different measure variants consume identical covariate and noise
 draws per cell.
+
+A sweep runs its cells on a pool of spawned processes, one per CPU of
+the process's affinity mask (at most one per cell), each with one BLAS
+thread; with one CPU or one cell it runs them in this process. Every cell
+is deterministic from its own seeds, so the results do not depend on the
+pool size.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,6 +226,11 @@ class SweepSpec:
     def setting(self) -> str:
         return self.model.setting
 
+    @property
+    def cells(self) -> list:
+        """The (n, rep) cells in grid order."""
+        return [(n, rep) for n in self.sample_sizes for rep in range(self.replications)]
+
     def cell_seeds(self, n: int, rep: int) -> dict:
         return {
             "data": child_seed(self.seed, n, rep, "data"),
@@ -281,9 +296,10 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_cell(spec: SweepSpec, loss_name: str, loss_fn, truth_fn, n: int, rep: int) -> dict:
+def _run_cell(spec: SweepSpec, n: int, rep: int) -> dict:
     seeds = spec.cell_seeds(n, rep)
     truth = spec.model
+    loss_name, loss_fn = loss_for_setting(spec.setting)
     dataset = gen_dataset(truth, n, seeds["data"])
     result = fit(dataset, truth.bank, truth.proj, truth.measure, spec.fit, seeds["fit"])
     row = {
@@ -298,10 +314,71 @@ def _run_cell(spec: SweepSpec, loss_name: str, loss_fn, truth_fn, n: int, rep: i
         row.update({"loss_value": math.nan, "l2_error": math.nan, "objective": math.nan})
         return row
     fitted_fn = regression_fn(truth.bank, truth.proj, result.measure)
+    truth_fn = regression_fn(truth.bank, truth.proj, truth.measure)
     row["loss_value"] = loss_fn(result.measure, truth.measure)
     row["l2_error"] = l2_norm(fitted_fn, truth_fn, truth.input_law, truth.proj.dim)
     row["objective"] = result.final_objective
     return row
+
+
+# the thread-count variables of OpenBLAS, OpenMP and MKL
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask,
+    or every CPU where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(spec: SweepSpec) -> int:
+    """The processes ``run_sweep`` runs the cells of ``spec`` on; 1 means
+    in this process."""
+    return min(usable_cpus(), len(spec.cells))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 for processes started inside,
+    then restore this process's values. BLAS reads them when it loads, so
+    they must be in a worker's environment before it imports numpy."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _run_cells(spec: SweepSpec) -> list:
+    """The rows of every cell, in grid order."""
+    cells = spec.cells
+    workers = pool_size(spec)
+    if workers == 1:
+        return [_run_cell(spec, n, rep) for n, rep in cells]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # a spawned pool starts one worker per submission until it is full,
+        # so every worker starts inside this block; largest n first, so
+        # that the longest fits do not start last
+        with _one_blas_thread():
+            futures = {cell: pool.submit(_run_cell, spec, *cell) for cell in sorted(cells, key=lambda c: -c[0])}
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+    finally:
+        # after a failure or an interrupt, drop the cells not yet started;
+        # either way, join every worker
+        pool.shutdown(cancel_futures=True)
+    in_order = [futures[cell] for cell in cells]
+    for future in in_order:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in in_order]
 
 
 def _mean_or_none(values):
@@ -313,9 +390,11 @@ def _median_or_none(values):
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute every (n, rep) cell of the sweep in grid order and aggregate.
+    """Execute every (n, rep) cell of the sweep and aggregate in grid order.
 
-    Failed fits are excluded from aggregates and counted.
+    The cells run on ``pool_size(spec)`` processes (see the module
+    docstring). The first cell that raises stops the sweep with its
+    exception. Failed fits are excluded from aggregates and counted.
     """
     truth = spec.model
     ident = check_identifiability(truth.measure, truth.proj)
@@ -324,13 +403,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             f"truth fails the identifiability check (min projected key distance "
             f"{ident.min_distance:.3e} < {ident.tol:.1e})"
         )
-    loss_name, loss_fn = loss_for_setting(spec.setting)
-    truth_fn = regression_fn(truth.bank, truth.proj, truth.measure)
-    rows = [
-        _run_cell(spec, loss_name, loss_fn, truth_fn, n, rep)
-        for n in spec.sample_sizes
-        for rep in range(spec.replications)
-    ]
+    rows = _run_cells(spec)
 
     aggregates = []
     for n in spec.sample_sizes:
@@ -362,7 +435,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     exclusions = sum(1 for r in rows if r["failed"])
     public_rows = tuple({k: r[k] for k in _CSV_COLUMNS} for r in rows)
     return SweepResult(
-        loss_name=loss_name,
+        loss_name=loss_for_setting(spec.setting)[0],
         spec_echo=spec.echo(),
         rows=public_rows,
         aggregates=tuple(aggregates),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -640,6 +641,10 @@ def test_sweep_writes_csv_summary_and_plots(tmp_path):
     assert summary["loss_name"] == "d2"
     assert "estimator_note" in summary
     assert (out / "plot_d2.dat").is_file() and (out / "plot_l2.dat").is_file()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    assert set(manifest["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert manifest["pool_size"] == min(manifest["affinity_cpus"], 4)
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
@@ -649,6 +654,21 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--output-dir", str(out_b)]) == 0
     for name in ("sweep_results.csv", "sweep_summary.json", "plot_d2.dat", "plot_l2.dat"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_failed_cell_in_a_worker_exits_2_as_in_process(tmp_path, capfd):
+    # fit refuses a latent measure whose value-side activation is linear;
+    # the error is raised in a pool worker and must reach main unchanged
+    data = json.loads((CONFIGS / "neural_shared_rate.json").read_text())
+    data["model"]["measure"]["act2"] = "identity"
+    data.update(sample_sizes=[50, 80], replications=2)
+    cfg = write_config(tmp_path, "sweep.json", data)
+    assert main(["sweep", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capfd.readouterr().err == (
+        "error: the value-side activation has identically zero second derivative; "
+        "estimation requires a curved activation such as tanh\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 # -----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Exact L2 norms, the slow-rate witness, slope fitting, and sweeps."""
 
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -213,16 +215,20 @@ def test_noiseless_oracle_sweep_has_zero_losses():
     assert result.loss_slope is None  # fewer than 3 usable grid points
 
 
-def test_sweep_serialization_is_reproducible():
+def four_cell_spec():
     bank, proj, truth = tiny_parts()
     model = RegressionModel(bank, proj, truth, noise_sd=0.1)
-    spec = SweepSpec(
+    return SweepSpec(
         model=model,
         sample_sizes=(60, 90),
         replications=2,
         fit=FitConfig(3, scale=0.1, max_iters=400),
         seed=21,
     )
+
+
+def test_sweep_serialization_is_reproducible():
+    spec = four_cell_spec()
     a = run_sweep(spec)
     b = run_sweep(spec)
     assert a.csv_text() == b.csv_text()
@@ -231,6 +237,24 @@ def test_sweep_serialization_is_reproducible():
         "setting,n,rep,loss_name,loss_value,l2_error,objective,converged"
     )
     assert len(a.rows) == 4
+
+
+def test_pool_size_changes_no_output(monkeypatch):
+    # with one CPU in the affinity mask the sweep runs in this process; on
+    # a one-CPU machine both runs below do
+    spec = four_cell_spec()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    blas = {name: os.environ.get(name) for name in experiments.BLAS_THREAD_VARIABLES}
+    pooled = run_sweep(spec)
+    assert {name: os.environ.get(name) for name in experiments.BLAS_THREAD_VARIABLES} == blas
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    assert experiments.pool_size(spec) == 1
+    alone = run_sweep(spec)
+    assert pooled.csv_text() == alone.csv_text()
+    assert pooled.json_text() == alone.json_text()
 
 
 def test_paired_settings_consume_identical_randomness():
