@@ -34,6 +34,7 @@ from .experiments import (
     WITNESS_COLUMNS,
     SweepSpec,
     pool_size,
+    pool_start_method,
     run_sweep,
     usable_cpus,
     witness_table,
@@ -255,7 +256,7 @@ COMMANDS = {
                      "randomized forward-vs-decomposition checks"),
     "sweep": Command(cmd_sweep, SweepSpec, _sweep_outputs, "convergence-rate sweep over sample sizes",
                      ("--dry-run", "print the resolved plan and exit"),
-                     lambda spec: {"pool_size": pool_size(spec)}),
+                     lambda spec: {"pool_size": pool_size(spec), "pool_start_method": pool_start_method(spec)}),
     "witness": Command(cmd_witness, WitnessConfig, lambda cfg: ["witness_table.csv", "witness_summary.json"],
                        "slow-rate witness table"),
     "gen": Command(cmd_gen, GenConfig, _gen_outputs, "generate a dataset CSV with sidecar metadata"),

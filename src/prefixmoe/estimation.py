@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._util import to_json
 from .errors import ConfigurationError
@@ -265,6 +264,10 @@ def _perturbed_init(reference, budget: int, scale: float, rng):
 
 
 def _minimize(problem: _Problem, theta0: np.ndarray, max_iters: int, box_bound: float):
+    # imported where it is used, so that a process that never fits never
+    # imports scipy.optimize
+    from scipy.optimize import least_squares
+
     # TRF asks for the residual at every trial point but for the Jacobian
     # only at accepted ones, so ``fun`` keeps the forward arrays of its last
     # point and ``jac_at`` builds the Jacobian from them

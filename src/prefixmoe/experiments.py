@@ -10,11 +10,14 @@ index, extending the grid never perturbs existing cells, and paired sweeps
 over different measure variants consume identical covariate and noise
 draws per cell.
 
-A sweep runs its cells on a pool of spawned processes, one per CPU of
-the process's affinity mask (at most one per cell), each with one BLAS
-thread; with one CPU or one cell it runs them in this process. Every cell
-is deterministic from its own seeds, so the results do not depend on the
-pool size.
+A sweep runs its cells on a pool of processes, one per CPU of the
+process's affinity mask (at most one per cell), each with one BLAS thread;
+with one CPU or one cell it runs them in this process. The workers fork
+from a forkserver that has imported this module and ``scipy.optimize``
+once for the whole process, so a second sweep starts its workers without
+importing either again; where the platform has no forkserver they are
+spawned, and each imports both. Every cell is deterministic from its own
+seeds, so the results do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -339,6 +343,19 @@ def pool_size(spec: SweepSpec) -> int:
     return min(usable_cpus(), len(spec.cells))
 
 
+# the modules the forkserver imports before it forks the first worker
+FORKSERVER_PRELOAD = ["prefixmoe.experiments", "scipy.optimize"]
+
+
+def pool_start_method(spec: SweepSpec) -> Optional[str]:
+    """How ``run_sweep`` starts the pool's workers for ``spec``:
+    ``"forkserver"`` where the platform has one, else ``"spawn"``, and
+    None when the cells run in this process."""
+    if pool_size(spec) == 1:
+        return None
+    return "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+
+
 @contextmanager
 def _one_blas_thread():
     """Set the BLAS thread variables to 1 for processes started inside,
@@ -359,14 +376,19 @@ def _one_blas_thread():
 def _run_cells(spec: SweepSpec) -> list:
     """The rows of every cell, in grid order."""
     cells = spec.cells
-    workers = pool_size(spec)
-    if workers == 1:
+    method = pool_start_method(spec)
+    if method is None:
         return [_run_cell(spec, n, rep) for n, rep in cells]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    context = multiprocessing.get_context(method)
+    if method == "forkserver":
+        context.set_forkserver_preload(FORKSERVER_PRELOAD)
+    pool = ProcessPoolExecutor(pool_size(spec), mp_context=context)
     try:
-        # a spawned pool starts one worker per submission until it is full,
-        # so every worker starts inside this block; largest n first, so
-        # that the longest fits do not start last
+        # the pool starts one worker per submission until it is full, so
+        # every worker starts inside this block, and so does the forkserver
+        # when the first pool of this process starts it: the server and
+        # every worker forked from it keep one BLAS thread. Largest n
+        # first, so that the longest fits do not start last
         with _one_blas_thread():
             futures = {cell: pool.submit(_run_cell, spec, *cell) for cell in sorted(cells, key=lambda c: -c[0])}
         wait(futures.values(), return_when=FIRST_EXCEPTION)
@@ -377,6 +399,12 @@ def _run_cells(spec: SweepSpec) -> list:
     in_order = [futures[cell] for cell in cells]
     for future in in_order:
         if not future.cancelled() and future.exception() is not None:
+            if isinstance(future.exception(), BrokenProcessPool):
+                # most often each worker re-ran an unguarded calling script
+                raise UsageError(
+                    "a sweep worker process died; every worker re-imports the main script, so a script "
+                    'that runs a sweep must do so under `if __name__ == "__main__":`'
+                ) from future.exception()
             raise future.exception()
     return [future.result() for future in in_order]
 

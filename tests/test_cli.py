@@ -645,6 +645,11 @@ def test_sweep_writes_csv_summary_and_plots(tmp_path):
     assert manifest["numpy_version"] == np.__version__
     assert set(manifest["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert manifest["pool_size"] == min(manifest["affinity_cpus"], 4)
+    if manifest["pool_size"] == 1:
+        assert manifest["pool_start_method"] is None
+    else:
+        forkserver = "forkserver" in multiprocessing.get_all_start_methods()
+        assert manifest["pool_start_method"] == ("forkserver" if forkserver else "spawn")
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
@@ -697,9 +702,11 @@ def test_bundled_smoke_sweep_runs_deterministically(tmp_path):
 # start-up
 
 
-def test_importing_the_cli_does_not_import_scipy_stats():
-    # scipy.stats is slow to import and gave only the t quantile, which scipy.special has
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_importing_the_cli_does_not_import_slow_scipy_modules(module):
+    # scipy.stats gave only the t quantile, which scipy.special has; only a
+    # fit needs scipy.optimize, and it imports the solver itself
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import prefixmoe.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys; sys.path.insert(0, {src!r}); import prefixmoe.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"

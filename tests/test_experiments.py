@@ -3,6 +3,8 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,14 +249,35 @@ def test_pool_size_changes_no_output(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     blas = {name: os.environ.get(name) for name in experiments.BLAS_THREAD_VARIABLES}
-    pooled = run_sweep(spec)
+    # the second pooled sweep forks its workers from the first one's forkserver
+    pooled = [run_sweep(spec), run_sweep(spec)]
     assert {name: os.environ.get(name) for name in experiments.BLAS_THREAD_VARIABLES} == blas
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
     assert experiments.pool_size(spec) == 1
     alone = run_sweep(spec)
-    assert pooled.csv_text() == alone.csv_text()
-    assert pooled.json_text() == alone.json_text()
+    for result in pooled:
+        assert result.csv_text() == alone.csv_text()
+        assert result.json_text() == alone.json_text()
+
+
+@pytest.mark.skipif(experiments.usable_cpus() == 1, reason="one CPU: the sweep runs in process")
+def test_unguarded_calling_script_gets_one_usage_error(tmp_path):
+    # every pool worker re-runs the main script, which here starts a sweep
+    # of its own before the worker is ready
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(experiments.__file__).parents[1])!r})\n"
+        "import prefixmoe as pm\n"
+        f"cfg = json.loads(open({str(CONFIGS / 'smoke_sweep.json')!r}).read())\n"
+        "model = pm.model_from_dict(cfg['model'])\n"
+        "pm.run_sweep(pm.SweepSpec(model, (40, 60), 2, pm.FitConfig(**cfg['fit']), 1))\n"
+    )
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "UsageError: a sweep worker process died" in proc.stderr
+    assert 'if __name__ == "__main__":' in proc.stderr
 
 
 def test_paired_settings_consume_identical_randomness():
