@@ -343,10 +343,6 @@ def pool_size(spec: SweepSpec) -> int:
     return min(usable_cpus(), len(spec.cells))
 
 
-# the modules the forkserver imports before it forks the first worker
-FORKSERVER_PRELOAD = ["prefixmoe.experiments", "scipy.optimize"]
-
-
 def pool_start_method(spec: SweepSpec) -> Optional[str]:
     """How ``run_sweep`` starts the pool's workers for ``spec``:
     ``"forkserver"`` where the platform has one, else ``"spawn"``, and
@@ -381,7 +377,8 @@ def _run_cells(spec: SweepSpec) -> list:
         return [_run_cell(spec, n, rep) for n, rep in cells]
     context = multiprocessing.get_context(method)
     if method == "forkserver":
-        context.set_forkserver_preload(FORKSERVER_PRELOAD)
+        # imported once by the server, before it forks the first worker
+        context.set_forkserver_preload(["prefixmoe.experiments", "scipy.optimize"])
     pool = ProcessPoolExecutor(pool_size(spec), mp_context=context)
     try:
         # the pool starts one worker per submission until it is full, so
