@@ -88,12 +88,11 @@ def _json_value(value):
 def from_json(build, data: dict, where: str, **readers):
     """``build(**fields)`` from the JSON object ``data``, the inverse of ``to_json``.
 
-    ``build`` is a dataclass or a constructor with annotated parameters.
-    Arrays are read as JSON lists, ``tuple[int, ...]`` as lists of
-    integers, scalars by their type, and nested dataclasses as objects, or
-    by ``readers[name](block, where)`` where a field has one. Unknown keys,
-    missing required fields and values of the wrong JSON type are
-    ConfigurationErrors naming them.
+    ``build`` is a dataclass. Arrays are read as JSON lists,
+    ``tuple[int, ...]`` as lists of integers, scalars by their type, and
+    nested dataclasses as objects, or by ``readers[name](block, where)``
+    where a field has one. Unknown keys, missing required fields and values
+    of the wrong JSON type are ConfigurationErrors naming them.
     """
     params = inspect.signature(build).parameters
     kinds = typing.get_type_hints(build)

@@ -56,10 +56,6 @@ class EquivConfig:
     trials: int
     seed: int
     tolerance: float = 1e-9
-    max_tokens: int = 8
-    max_dim: int = 16
-    heads: tuple[int, ...] = (1, 2)
-    max_prompts: int = 4
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,8 @@ class WitnessConfig:
             raise ConfigurationError("witness config: r must be a positive integer")
         if not self.sample_sizes:
             raise ConfigurationError("witness config: field 'sample_sizes' must not be empty")
+        if min(self.sample_sizes) < 1:
+            raise ConfigurationError("witness config: every entry of field 'sample_sizes' must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,7 @@ def _load_config(path: Path, schema, seed_override):
 
 
 def cmd_equiv(cfg: EquivConfig, args):
-    report = run_equivalence_trials(
-        n_trials=cfg.trials,
-        seed=cfg.seed,
-        tolerance=cfg.tolerance,
-        max_tokens=cfg.max_tokens,
-        max_dim=cfg.max_dim,
-        heads=cfg.heads,
-        max_prompts=cfg.max_prompts,
-    )
+    report = run_equivalence_trials(n_trials=cfg.trials, seed=cfg.seed, tolerance=cfg.tolerance)
     failure = None if report.passed else (
         f"equivalence failure: prefix diff {report.max_abs_diff_prefix:.3e}, "
         f"prompt diff {report.max_abs_diff_prompt:.3e} > tol {report.tolerance:.1e}"

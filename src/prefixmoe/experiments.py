@@ -223,6 +223,8 @@ class SweepSpec:
         sizes = self.sample_sizes
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigurationError("sample_sizes must be strictly increasing")
+        if sizes[0] < 1:
+            raise ConfigurationError("every entry of field 'sample_sizes' must be at least 1")
         if self.replications < 1:
             raise ConfigurationError("replications must be at least 1")
 

@@ -25,7 +25,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -117,14 +116,11 @@ class PretrainedBank:
 
     gate_mats: (n_experts, dim, dim), gate_biases: (n_experts,),
     expert_params: (n_experts, dim) for the linear experts eta^T x.
-    ``expert_form`` is kept in the bank format, but "linear" is its only
-    value.
     """
 
     gate_mats: np.ndarray
     gate_biases: np.ndarray
     expert_params: np.ndarray
-    expert_form: str = "linear"
 
     def __post_init__(self):
         mats = frozen_array(self.gate_mats, name="gate_mats")
@@ -133,8 +129,6 @@ class PretrainedBank:
         n, dim = mats.shape[0], mats.shape[1]
         if n < 1:
             raise ConfigurationError("bank needs at least one expert")
-        if self.expert_form != "linear":
-            raise ConfigurationError(f"unknown expert_form {self.expert_form!r}; the only form is 'linear'")
         object.__setattr__(self, "gate_mats", mats)
         object.__setattr__(self, "gate_biases", frozen_array(self.gate_biases, (n,), "gate_biases"))
         object.__setattr__(self, "expert_params", frozen_array(self.expert_params, (n, dim), "expert_params"))
@@ -148,7 +142,7 @@ class PretrainedBank:
         return self.gate_mats.shape[1]
 
     @classmethod
-    def random(cls, n_experts: int, dim: int, seed: int, expert_form: str = "linear") -> "PretrainedBank":
+    def random(cls, n_experts: int, dim: int, seed: int) -> "PretrainedBank":
         """Seeded bank: small symmetric gating curvature, uniform biases,
         and normalized Gaussian expert parameters."""
         rng = np.random.default_rng(int(seed))
@@ -156,7 +150,7 @@ class PretrainedBank:
         mats = 0.1 * 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
         biases = rng.uniform(-0.5, 0.5, size=n_experts)
         eta = rng.standard_normal((n_experts, dim)) / math.sqrt(dim)
-        return cls(mats, biases, eta, expert_form)
+        return cls(mats, biases, eta)
 
     def gate_logits(self, x2d: np.ndarray) -> np.ndarray:
         """Per-sample logits x^T A_j x + a_j, shape (n_samples, n_experts)."""
@@ -378,15 +372,12 @@ def expert_scalars(measure, proj: ProjectionPair) -> np.ndarray:
 @dataclass(frozen=True)
 class InputLaw:
     """Sampling law for the covariates: independent coordinates, uniform on
-    [low, high]. ``uniform`` is the only ``kind``; any other is refused."""
+    [low, high]."""
 
-    kind: str = "uniform"
     low: float = -1.0
     high: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise ConfigurationError(f"unknown input law {self.kind!r}")
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise ConfigurationError("uniform law needs finite bounds")
         if not self.low < self.high:
@@ -592,9 +583,8 @@ def check_identifiability(measure, proj: ProjectionPair, tol: float = 1e-6) -> I
 
 # --------------------------------------------------------------------------
 # serialization: ``_util.to_json`` and ``from_json`` write and read every
-# component. A measure adds its ``variant``; a bank or a projection may be
-# given instead as ``{"random": {...}}``, the arguments of its seeded
-# ``random`` constructor and the block's only key.
+# component, and a measure adds its ``variant``; ``model_from_dict`` reads
+# back what ``model_to_dict`` writes, and no other form of a block.
 
 
 def measure_to_dict(measure) -> dict:
@@ -608,25 +598,9 @@ def measure_from_dict(data: dict, where: str = "measure"):
     return from_json(MEASURE_VARIANTS[variant], {k: v for k, v in data.items() if k != "variant"}, where)
 
 
-def _component_from_dict(cls, data: dict, where: str):
-    if "random" not in data:
-        return from_json(cls, data, where)
-    others = ", ".join(repr(key) for key in data if key != "random")
-    if others:
-        raise ConfigurationError(f"{where}: field 'random' cannot be combined with {others}")
-    return from_json(cls.random, config_field(data, "random", dict, where), f"{where}.random")
-
-
 def model_to_dict(model: RegressionModel) -> dict:
     return {**to_json(model), "measure": measure_to_dict(model.measure)}
 
 
 def model_from_dict(data: dict, where: str = "model") -> RegressionModel:
-    return from_json(
-        RegressionModel,
-        data,
-        where,
-        bank=partial(_component_from_dict, PretrainedBank),
-        proj=partial(_component_from_dict, ProjectionPair),
-        measure=measure_from_dict,
-    )
+    return from_json(RegressionModel, data, where, measure=measure_from_dict)

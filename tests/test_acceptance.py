@@ -49,15 +49,7 @@ def sweep_results():
 def test_criterion_1_attention_mixture_equivalence():
     started = time.monotonic()
     cfg = json.loads((CONFIGS / "equiv.json").read_text())
-    rep = pm.run_equivalence_trials(
-        n_trials=cfg["trials"],
-        seed=cfg["seed"],
-        tolerance=cfg["tolerance"],
-        max_tokens=cfg["max_tokens"],
-        max_dim=cfg["max_dim"],
-        heads=tuple(cfg["heads"]),
-        max_prompts=cfg["max_prompts"],
-    )
+    rep = pm.run_equivalence_trials(n_trials=cfg["trials"], seed=cfg["seed"], tolerance=cfg["tolerance"])
     elapsed = time.monotonic() - started
     ok = rep.passed and rep.n_trials == 100 and elapsed < 5.0
     report(

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefixmoe import cli
+from prefixmoe import PretrainedBank, cli, model_to_dict
+from prefixmoe._util import to_json
 from prefixmoe.cli import _load_config, main
 from prefixmoe.estimation import FitResult
 
@@ -31,12 +32,12 @@ def write_config(tmp_path, name, data):
 
 def small_model():
     return {
-        "bank": {"random": {"n_experts": 2, "dim": 2, "seed": 11}},
+        "bank": to_json(PretrainedBank.random(2, 2, seed=11)),
         "proj": {"b": [[1.1, 0.2], [-0.1, 1.0]], "c": [1.5, -1.7]},
         "measure": {"variant": "linear_shared", "log_weights": [0.0, 0.3],
                     "prompts": [[1.2, -0.8], [-1.0, 0.9]]},
         "noise_sd": 0.0,
-        "input_law": {"kind": "uniform", "low": -1.0, "high": 1.0},
+        "input_law": {"low": -1.0, "high": 1.0},
     }
 
 
@@ -265,19 +266,25 @@ def test_fit_rejects_unknown_fit_and_init_fields(tmp_path, capsys, block, key, v
 
 
 @pytest.mark.parametrize(
-    "name, key",
+    "name, key, value",
     [
-        ("equiv.json", "tolerence"),
-        ("smoke_sweep.json", "voronoi_R"),
-        ("witness.json", "mc_sample"),  # only the exact retired key is tolerated
-        ("gen_linear.json", "nmae"),
-        ("fit_linear.json", "setting"),  # derived from the dataset's model
+        ("equiv.json", "tolerence", 1e-30),
+        ("smoke_sweep.json", "voronoi_R", 1e-30),
+        ("witness.json", "mc_sample", 1e-30),  # only the exact retired key is tolerated
+        ("gen_linear.json", "nmae", 1e-30),
+        ("fit_linear.json", "setting", 1e-30),  # derived from the dataset's model
+        # the trial sizes of equiv are constants of the attention module
+        ("equiv.json", "max_tokens", 8),
+        ("equiv.json", "max_dim", 16),
+        ("equiv.json", "heads", [1, 2]),
+        ("equiv.json", "max_prompts", 4),
     ],
-    ids=["equiv", "sweep", "witness", "gen", "fit"],
+    ids=["equiv", "sweep", "witness", "gen", "fit", "equiv-max_tokens", "equiv-max_dim", "equiv-heads",
+         "equiv-max_prompts"],
 )
-def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key):
+def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key, value):
     data = json.loads((CONFIGS / name).read_text())
-    data[key] = 1e-30
+    data[key] = value
     cfg = write_config(tmp_path, name, data)
     out = tmp_path / "out"
     assert main([command_of(name), "--config", str(cfg), "--output-dir", str(out)]) == 2
@@ -298,7 +305,6 @@ def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key):
         ("gen_linear.json", ("model", "bank"), 5, "bank"),
         ("gen_linear.json", ("model", "measure", "prompts"), "x", "prompts"),
         ("gen_linear.json", ("model", "input_law", "low"), "a", "low"),
-        ("gen_linear.json", ("model", "proj"), {"random": {"dim": "two", "seed": 8}}, "dim"),
         # json reads the NaN and Infinity literals that json.dumps writes
         ("gen_linear.json", ("model", "noise_sd"), float("nan"), "noise_sd"),
         ("smoke_sweep.json", ("fit", "box_bound"), float("inf"), "box_bound"),
@@ -306,12 +312,15 @@ def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key):
         ("gen_linear.json", ("model", "input_law", "low"), float("-inf"), "low"),
         ("equiv.json", ("tolerance",), float("nan"), "tolerance"),
         ("equiv.json", ("tolerance",), 10**400, "tolerance"),
+        # sizes below 1 are refused when the config loads, before any cell runs
+        ("witness.json", ("sample_sizes",), [0, 10], "sample_sizes"),
+        ("smoke_sweep.json", ("sample_sizes",), [0, 90, 130], "sample_sizes"),
     ],
     ids=[
         "fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials",
-        "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-proj-random-dim",
-        "gen-noise_sd-nan", "sweep-box_bound-inf", "fit-scale-nan", "gen-input_law-low-inf", "equiv-tolerance-nan",
-        "equiv-tolerance-beyond-float",
+        "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-noise_sd-nan",
+        "sweep-box_bound-inf", "fit-scale-nan", "gen-input_law-low-inf", "equiv-tolerance-nan",
+        "equiv-tolerance-beyond-float", "witness-sample_sizes-zero", "sweep-sample_sizes-zero",
     ],
 )
 def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, value, named):
@@ -330,42 +339,34 @@ def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, va
 
 
 @pytest.mark.parametrize(
-    "block, key",
+    "block, key, value",
     [
-        ((), "input_lw"),
-        (("bank",), "gate_mat"),
-        (("bank", "random"), "n_expert"),
-        (("proj",), "d"),
-        (("proj", "random"), "dims"),
-        (("input_law",), "hi"),
-        (("measure",), "act1"),  # only the latent variant has activations
+        ((), "input_lw", 0.5),
+        (("bank",), "gate_mat", 0.5),
+        (("bank",), "random", {"n_experts": 2, "dim": 2, "seed": 11}),
+        (("proj",), "d", 0.5),
+        (("proj",), "random", {"dim": 2, "seed": 8}),
+        (("input_law",), "hi", 0.5),
+        (("measure",), "act1", 0.5),  # only the latent variant has activations
+        (("bank",), "expert_form", "linear"),
+        (("input_law",), "kind", "uniform"),
     ],
-    ids=["model", "bank", "bank-random", "proj", "proj-random", "input_law", "measure-act1"],
+    ids=["model", "bank", "bank-random", "proj", "proj-random", "input_law", "measure-act1", "bank-expert_form",
+         "input_law-kind"],
 )
-def test_unknown_model_key_exits_2(tmp_path, capsys, block, key):
+def test_unknown_model_key_exits_2(tmp_path, capsys, block, key, value):
     data = json.loads((CONFIGS / "gen_linear.json").read_text())
-    model = data["model"]
-    if block[1:] == ("random",):
-        model[block[0]] = {"random": {"n_experts": 2, "dim": 2, "seed": 11} if block[0] == "bank" else {"dim": 2, "seed": 8}}
-    target = model
+    target = data["model"]
     for name in block:
         target = target[name]
-    target[key] = 0.5
+    if key == "random":  # a seeded generator was once the whole block
+        target.clear()
+    target[key] = value
     cfg = write_config(tmp_path, "gen.json", data)
     out = tmp_path / "out"
     assert main(["gen", "--config", str(cfg), "--output-dir", str(out)]) == 2
     assert f"unknown field {key!r}" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
-
-
-@pytest.mark.parametrize("block", ["bank", "proj"])
-def test_random_generator_is_the_only_key_of_its_block(tmp_path, capsys, block):
-    data = json.loads((CONFIGS / "gen_linear.json").read_text())
-    data["model"][block]["random"] = {"n_experts": 4, "dim": 2, "seed": 7} if block == "bank" else {"dim": 2, "seed": 8}
-    cfg = write_config(tmp_path, "gen.json", data)
-    assert main(["gen", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "'random' cannot be combined with" in err and ("'gate_mats'" in err or "'b'" in err)
 
 
 def _break_csv(csv_path, text):
@@ -406,27 +407,24 @@ def test_unknown_key_in_the_sidecar_model_names_the_sidecar(tmp_path, capsys):
     assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
     meta_path = out / "linear_dataset.meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["model"]["bogus"] = 1
-    meta_path.write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert main(["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"]) == 2
-    assert f"{meta_path}: model: unknown field 'bogus'" in capsys.readouterr().err
-    assert not (out / "fit_result.json").exists()
+    # a key no model has, and one that sidecars written before its removal hold
+    for block, key, where in ((meta["model"], "bogus", "model"), (meta["model"]["bank"], "expert_form", "model.bank")):
+        block[key] = "linear"
+        meta_path.write_text(json.dumps(meta))
+        del block[key]
+        capsys.readouterr()
+        assert main(["fit", "--config", str(CONFIGS / "fit_linear.json"), "--output-dir", str(out), "--force"]) == 2
+        assert f"{meta_path}: {where}: unknown field {key!r}" in capsys.readouterr().err
+        assert not (out / "fit_result.json").exists()
 
 
 @pytest.mark.parametrize(
     "key, value, named",
     [
-        ("heads", [0], "heads"),
-        ("heads", [], "heads"),
-        ("heads", [32], "max_dim"),
-        ("max_dim", 0, "max_dim"),
-        ("max_tokens", 0, "max_tokens"),
-        ("max_prompts", -1, "max_prompts"),
+        ("trials", -1, "trials"),
         ("tolerance", -1, "tolerance"),
     ],
-    ids=["heads-zero", "heads-empty", "heads-above-max_dim", "max_dim-zero", "max_tokens-zero", "max_prompts-negative",
-         "tolerance-negative"],
+    ids=["trials-negative", "tolerance-negative"],
 )
 def test_equiv_field_out_of_range_exits_2(tmp_path, capsys, key, value, named):
     data = json.loads((CONFIGS / "equiv.json").read_text())
@@ -537,7 +535,7 @@ def witness_config():
     return {
         "version": 2,
         "model": {
-            "bank": {"random": {"n_experts": 2, "dim": 3, "seed": 55}},
+            "bank": to_json(PretrainedBank.random(2, 3, seed=55)),
             "proj": {"b": [[1.2, 0.2, -0.1], [0.0, 1.1, 0.3], [-0.2, 0.1, 1.3]],
                      "c": [0.9, -0.7, 0.5]},
             "measure": {"variant": "non_shared", "log_weights": [0.0, -0.4],
@@ -686,7 +684,11 @@ def test_bundled_configs_parse(name):
     # a wrong type or a config no command accepts fails here
     data = json.loads((CONFIGS / name).read_text())
     assert data["version"] == 2
-    _load_config(CONFIGS / name, cli.COMMANDS[command_of(name)].schema, None)
+    cfg = _load_config(CONFIGS / name, cli.COMMANDS[command_of(name)].schema, None)
+    # a model reads back as written, so a sweep summary's spec.truth and a
+    # dataset sidecar's model equal the config's block
+    if "model" in data:
+        assert model_to_dict(cfg.model) == data["model"]
 
 
 def test_bundled_smoke_sweep_runs_deterministically(tmp_path):

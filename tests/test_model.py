@@ -211,7 +211,7 @@ def test_model_round_trips_through_dict():
     latent = NeuralSharedMeasure(
         rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), [0.1, -0.2], rng.normal(size=(2, 2))
     )
-    model = RegressionModel(bank, proj, latent, noise_sd=0.25, input_law=InputLaw("uniform", low=-2.0, high=0.5))
+    model = RegressionModel(bank, proj, latent, noise_sd=0.25, input_law=InputLaw(low=-2.0, high=0.5))
     clone = model_from_dict(model_to_dict(model))
     assert np.array_equal(clone.measure.w1, model.measure.w1)
     assert np.array_equal(clone.bank.gate_mats, model.bank.gate_mats)
@@ -225,23 +225,22 @@ def test_unknown_input_law_kind_is_configuration_error():
     model = RegressionModel(zero_bank(), make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.1)
     data = model_to_dict(model)
     data["input_law"] = {"kind": "unifrom"}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="unknown field 'kind'"):
         model_from_dict(data)
 
 
 @pytest.mark.parametrize("low, high", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)])
 def test_input_law_refuses_non_finite_bounds(low, high):
     with pytest.raises(ConfigurationError, match="finite"):
-        InputLaw("uniform", low, high)
+        InputLaw(low, high)
 
 
 def test_affine_expert_form_is_configuration_error():
-    with pytest.raises(ConfigurationError, match="expert_form"):
-        PretrainedBank.random(2, 2, seed=1, expert_form="affine")
+    # every expert is linear, so a bank has no expert_form to set
     data = model_to_dict(RegressionModel(zero_bank(), make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), 0.1))
-    assert data["bank"]["expert_form"] == "linear"
-    data["bank"] = {"random": {"n_experts": 2, "dim": 2, "seed": 1, "expert_form": "affine"}}
-    with pytest.raises(ConfigurationError, match="expert_form"):
+    assert "expert_form" not in data["bank"]
+    data["bank"]["expert_form"] = "affine"
+    with pytest.raises(ConfigurationError, match="model.bank: unknown field 'expert_form'"):
         model_from_dict(data)
 
 
