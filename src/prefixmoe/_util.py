@@ -92,7 +92,8 @@ def from_json(build, data: dict, where: str, **readers):
     ``tuple[int, ...]`` as lists of integers, scalars by their type, and
     nested dataclasses as objects, or by ``readers[name](block, where)``
     where a field has one. Unknown keys, missing required fields and values
-    of the wrong JSON type are ConfigurationErrors naming them.
+    of the wrong JSON type are ConfigurationErrors naming them, and a
+    ConfigurationError of ``build`` itself gets ``where`` in front.
     """
     params = inspect.signature(build).parameters
     kinds = typing.get_type_hints(build)
@@ -112,7 +113,11 @@ def from_json(build, data: dict, where: str, **readers):
             values[name] = tuple(typed_value(v, int, f"{where}: entry of {name!r}") for v in entries)
         else:
             values[name] = config_field(data, name, list if kind is np.ndarray else kind, where)
-    return build(**values)
+    # the nested readers above prefix their own errors, so each message gets one prefix
+    try:
+        return build(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

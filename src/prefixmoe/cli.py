@@ -6,7 +6,8 @@ wrong JSON type or a non-finite number exits 2 and is named), and a small
 set of flags. One runner, ``run_command``, serves every command: it loads
 the config, names the outputs from it and refuses existing ones before
 any work unless ``--force`` is given, runs the command, and writes the
-files the command returns and a run manifest into ``--output-dir``.
+files the command returns and a run manifest into ``--output-dir``,
+which it creates only then.
 Exit codes: 0 success, 1 acceptance failure (the reason goes to stderr),
 2 configuration error. Relative paths inside configs resolve against the
 output directory.
@@ -39,7 +40,7 @@ from .experiments import (
     usable_cpus,
     witness_table,
 )
-from .model import Dataset, RegressionModel, check_identifiability, gen_dataset, model_from_dict
+from .model import Dataset, RegressionModel, check_identifiability, gen_dataset, model_from_dict, model_to_dict
 from .attention import run_equivalence_trials
 from .voronoi import loss_for_setting
 from . import __version__
@@ -57,6 +58,12 @@ class EquivConfig:
     seed: int
     tolerance: float = 1e-9
 
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ConfigurationError(f"field 'trials' must be at least 0, got {self.trials}")
+        if self.tolerance < 0:
+            raise ConfigurationError(f"field 'tolerance' must be at least 0, got {self.tolerance}")
+
 
 @dataclass(frozen=True)
 class WitnessConfig:
@@ -67,13 +74,13 @@ class WitnessConfig:
 
     def __post_init__(self):
         if self.model.setting != "non_shared":
-            raise ConfigurationError("witness config needs an untied ('non_shared') truth measure")
+            raise ConfigurationError("the truth measure must be untied ('non_shared')")
         if self.r < 1:
-            raise ConfigurationError("witness config: r must be a positive integer")
+            raise ConfigurationError("field 'r' must be a positive integer")
         if not self.sample_sizes:
-            raise ConfigurationError("witness config: field 'sample_sizes' must not be empty")
+            raise ConfigurationError("field 'sample_sizes' must not be empty")
         if min(self.sample_sizes) < 1:
-            raise ConfigurationError("witness config: every entry of field 'sample_sizes' must be at least 1")
+            raise ConfigurationError("every entry of field 'sample_sizes' must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,10 @@ class GenConfig:
     n: int
     seed: int
     name: str = "dataset"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigurationError(f"field 'n' must be at least 1, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -198,17 +209,23 @@ def cmd_gen(cfg: GenConfig, args):
             )
     dataset = gen_dataset(model, cfg.n, cfg.seed)
     csv_name, meta_name = _gen_outputs(cfg)
-    return {csv_name: dataset.csv_text(), meta_name: dataset.meta_text()}, None
+    meta = {"version": 1, "seed": cfg.seed, "n": cfg.n, "model": model_to_dict(model)}
+    return {csv_name: dataset.csv_text(), meta_name: json_text(meta)}, None
 
 
 def cmd_fit(cfg: FitCommandConfig, args):
     # a relative dataset path resolves against the output directory
     dataset_path = Path(args.output_dir) / cfg.dataset
-    dataset = Dataset.load(dataset_path)
+    # the sidecar that gen wrote holds the generating model
     meta_where = str(Dataset.meta_path(dataset_path))
-    truth_model = model_from_dict(
-        config_field(dataset.provenance, "model", dict, meta_where), f"{meta_where}: model"
-    )
+    meta = read_json(meta_where, "dataset metadata")
+    truth_model = model_from_dict(config_field(meta, "model", dict, meta_where), f"{meta_where}: model")
+    dataset = Dataset.load(dataset_path)
+    if dataset.x.shape[1] != truth_model.proj.dim:
+        raise ConfigurationError(
+            f"{dataset_path}: {dataset.x.shape[1]} covariate columns, but the model in {meta_where} has dim "
+            f"{truth_model.proj.dim}"
+        )
     loss_name, loss_fn = loss_for_setting(truth_model.setting)
     result = fit(dataset, truth_model.bank, truth_model.proj, truth_model.measure, cfg.fit, cfg.seed)
     payload = {
@@ -267,7 +284,6 @@ def run_command(args) -> int:
         return 0
     outdir = Path(args.output_dir)
     names = [*command.outputs(cfg), "run_manifest.json"]
-    outdir.mkdir(parents=True, exist_ok=True)
     clashes = [str(outdir / name) for name in names if (outdir / name).exists()]
     if clashes and not args.force:
         raise ConfigurationError("refusing to overwrite existing outputs (use --force): " + ", ".join(clashes))
@@ -290,6 +306,8 @@ def run_command(args) -> int:
         }
     )
     assert list(files) == names, "a command must return exactly the outputs it declares"
+    # made only now, so that a command that refuses its input leaves no directory
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (outdir / name).write_text(text)
     if failure is not None:

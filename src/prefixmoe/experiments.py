@@ -39,7 +39,8 @@ from ._util import csv_text, json_text, to_json
 from .errors import ConfigurationError, UsageError
 from .estimation import ESTIMATOR_NOTE, SOLVER_TOLERANCES, FitConfig, fit
 from .model import (
-    InputLaw,
+    INPUT_HIGH,
+    INPUT_LOW,
     NonSharedMeasure,
     RegressionModel,
     check_identifiability,
@@ -75,12 +76,13 @@ def child_seed(root: int, *parts) -> int:
 QUADRATURE_NODES = 16
 
 
-def l2_norm(f, g, law: InputLaw, dim: int) -> float:
-    """L2 distance between two batch callables under the uniform ``law``,
-    by a tensor Gauss-Legendre rule (Golub & Welsch 1969) on [low, high]^dim
-    whose weights sum to one."""
+def l2_norm(f, g, dim: int) -> float:
+    """L2 distance between two batch callables under the uniform law on the
+    input cube [-1, 1]^dim, by a tensor Gauss-Legendre rule (Golub & Welsch
+    1969) whose weights sum to one."""
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-    axes = [law.low + 0.5 * (law.high - law.low) * (nodes + 1.0)] * int(dim)
+    # (nodes + 1.0) - 1.0 is not bitwise nodes: this form keeps every l2_error's bits
+    axes = [INPUT_LOW + 0.5 * (INPUT_HIGH - INPUT_LOW) * (nodes + 1.0)] * int(dim)
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, int(dim))
     w = np.prod(np.meshgrid(*([0.5 * weights] * int(dim)), indexing="ij"), axis=0).reshape(-1)
     diff = np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float)
@@ -147,7 +149,7 @@ def witness_table(model: RegressionModel, r: int, sample_sizes) -> list:
         computed = loss(witness, truth)
         closed = witness_closed_form(truth, n, r)
         witness_fn = regression_fn(model.bank, model.proj, witness)
-        l2 = l2_norm(witness_fn, truth_fn, model.input_law, model.proj.dim)
+        l2 = l2_norm(witness_fn, truth_fn, model.proj.dim)
         rows.append({"n": n, "closed_form": closed, "computed": computed, "l2": l2, "ratio": l2 / computed})
     return rows
 
@@ -210,7 +212,7 @@ class SweepSpec:
 
     Every cell fits with ``fit`` from a perturbation of the model's measure,
     seeded per cell from ``seed``. The setting, and so the Voronoi loss, is
-    the measure's variant.
+    the measure's variant. The measure must pass ``check_identifiability``.
     """
 
     model: RegressionModel
@@ -227,6 +229,12 @@ class SweepSpec:
             raise ConfigurationError("every entry of field 'sample_sizes' must be at least 1")
         if self.replications < 1:
             raise ConfigurationError("replications must be at least 1")
+        ident = check_identifiability(self.model.measure, self.model.proj)
+        if not ident.passed:
+            raise ConfigurationError(
+                f"truth fails the identifiability check (min projected key distance "
+                f"{ident.min_distance:.3e} < {ident.tol:.1e})"
+            )
 
     @property
     def setting(self) -> str:
@@ -322,7 +330,7 @@ def _run_cell(spec: SweepSpec, n: int, rep: int) -> dict:
     fitted_fn = regression_fn(truth.bank, truth.proj, result.measure)
     truth_fn = regression_fn(truth.bank, truth.proj, truth.measure)
     row["loss_value"] = loss_fn(result.measure, truth.measure)
-    row["l2_error"] = l2_norm(fitted_fn, truth_fn, truth.input_law, truth.proj.dim)
+    row["l2_error"] = l2_norm(fitted_fn, truth_fn, truth.proj.dim)
     row["objective"] = result.final_objective
     return row
 
@@ -423,13 +431,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     docstring). The first cell that raises stops the sweep with its
     exception. Failed fits are excluded from aggregates and counted.
     """
-    truth = spec.model
-    ident = check_identifiability(truth.measure, truth.proj)
-    if not ident.passed:
-        raise ConfigurationError(
-            f"truth fails the identifiability check (min projected key distance "
-            f"{ident.min_distance:.3e} < {ident.tol:.1e})"
-        )
     rows = _run_cells(spec)
 
     aggregates = []

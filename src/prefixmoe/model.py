@@ -21,16 +21,15 @@ Log-weights ``b`` enter the gate logits additively, so atom weights are
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from ._util import config_field, csv_text, from_json, frozen_array, json_text, read_json, softmax_rows, to_json
+from ._util import config_field, csv_text, from_json, frozen_array, softmax_rows, to_json
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -42,7 +41,8 @@ __all__ = [
     "LinearSharedMeasure",
     "NeuralSharedMeasure",
     "MEASURE_VARIANTS",
-    "InputLaw",
+    "INPUT_LOW",
+    "INPUT_HIGH",
     "RegressionModel",
     "Dataset",
     "IdentifiabilityResult",
@@ -366,25 +366,11 @@ def expert_scalars(measure, proj: ProjectionPair) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# input law, model, dataset
+# input cube, model, dataset
 
-
-@dataclass(frozen=True)
-class InputLaw:
-    """Sampling law for the covariates: independent coordinates, uniform on
-    [low, high]."""
-
-    low: float = -1.0
-    high: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            raise ConfigurationError("uniform law needs finite bounds")
-        if not self.low < self.high:
-            raise ConfigurationError("uniform law needs low < high")
-
-    def sample(self, count: int, dim: int, rng) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=(count, dim))
+# every covariate coordinate is drawn independently, uniform on [INPUT_LOW, INPUT_HIGH]
+INPUT_LOW = -1.0
+INPUT_HIGH = 1.0
 
 
 @dataclass(frozen=True)
@@ -395,7 +381,6 @@ class RegressionModel:
     proj: ProjectionPair
     measure: object
     noise_sd: float
-    input_law: InputLaw = field(default_factory=InputLaw)
 
     def __post_init__(self):
         if self.noise_sd < 0:
@@ -464,12 +449,10 @@ def regression_fn(bank: PretrainedBank, proj: ProjectionPair, measure) -> Callab
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sampled (x, y) pairs plus the seed and generating-model description."""
+    """Sampled covariates ``x``, shape (n, dim), and responses ``y``, all finite."""
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
-    provenance: dict
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -480,64 +463,43 @@ class Dataset:
             raise ConfigurationError("dataset needs at least one sample")
         if not np.all(np.isfinite(x)):
             raise ConfigurationError("x: non-finite entries")
+        if not np.all(np.isfinite(y)):
+            raise ConfigurationError("y: non-finite entries")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @property
-    def n_samples(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
     @staticmethod
     def meta_path(csv_path) -> Path:
+        """Where ``gen`` writes the sidecar of the dataset at ``csv_path``."""
         p = Path(csv_path)
         return p.with_name(p.stem + ".meta.json")
 
     def csv_text(self) -> str:
-        header = [f"x_{j + 1}" for j in range(self.dim)] + ["y"]
+        header = [f"x_{j + 1}" for j in range(self.x.shape[1])] + ["y"]
         return csv_text(header, ([*row, value] for row, value in zip(self.x, self.y)))
-
-    def meta_text(self) -> str:
-        """The sidecar metadata: the seed, the size and the provenance."""
-        return json_text({"version": 1, "seed": self.seed, "n": self.n_samples, **self.provenance})
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
-        """Read a sample written as ``csv_text`` with its ``meta_text``
-        sidecar. A missing, empty or malformed CSV or sidecar is a
-        ConfigurationError naming the file."""
+        """Read a sample written as ``csv_text``: a header line, then one
+        row of covariates and the response per sample. A missing, empty or
+        malformed file is a ConfigurationError naming it."""
         path = Path(csv_path)
         if not path.is_file():
             raise ConfigurationError(f"dataset file not found: {path}")
-        meta_path = cls.meta_path(path)
-        meta = read_json(meta_path, "dataset metadata")
-        seed = config_field(meta, "seed", int, str(meta_path), 0)
         try:
-            with path.open(newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    raise ConfigurationError("empty file")
-                dim = len(header) - 1
-                xs, ys = [], []
-                for row in reader:
-                    if len(row) != dim + 1:
-                        raise ConfigurationError(f"malformed row {row!r}")
-                    xs.append([float(v) for v in row[:dim]])
-                    ys.append(float(row[dim]))
-            provenance = {k: v for k, v in meta.items() if k not in ("version",)}
-            return cls(np.asarray(xs).reshape(len(ys), dim), np.asarray(ys), seed, provenance)
-        except (ValueError, csv.Error) as exc:
+            with warnings.catch_warnings():
+                # a file without rows; the check below names it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            return cls(data[:, :-1], data[:, -1])
+        except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def gen_dataset(model: RegressionModel, n_samples: int, seed: int) -> Dataset:
-    """Draw covariates from the model's law and add centered Gaussian noise.
+    """Draw covariates uniform on the input cube and add centered Gaussian noise.
 
     Deterministic given ``seed``; the covariates are drawn first and the
     noise second, so paired runs over different measures consume identical
@@ -546,15 +508,10 @@ def gen_dataset(model: RegressionModel, n_samples: int, seed: int) -> Dataset:
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")
     rng = np.random.default_rng(int(seed))
-    x = model.input_law.sample(n_samples, model.proj.dim, rng)
+    x = rng.uniform(INPUT_LOW, INPUT_HIGH, size=(n_samples, model.proj.dim))
     noise = rng.normal(0.0, model.noise_sd, size=n_samples)
     y = _predict(model.bank, model.proj, model.measure, x) + noise
-    provenance = {
-        "seed": int(seed),
-        "n": int(n_samples),
-        "model": model_to_dict(model),
-    }
-    return Dataset(x, y, int(seed), provenance)
+    return Dataset(x, y)
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,7 @@ def test_criterion_3_witness_exactness_and_slow_rate_ratio():
 
     def ratio(n):
         witness = pm.witness_sequence(model.measure, n, 1)
-        l2 = pm.l2_norm(
-            pm.regression_fn(model.bank, model.proj, witness), truth_fn, model.input_law, model.proj.dim
-        )
+        l2 = pm.l2_norm(pm.regression_fn(model.bank, model.proj, witness), truth_fn, model.proj.dim)
         return l2 / pm.loss_d1r(witness, model.measure, 1)
 
     rho_10, rho_100 = ratio(10), ratio(100)

@@ -37,7 +37,6 @@ def small_model():
         "measure": {"variant": "linear_shared", "log_weights": [0.0, 0.3],
                     "prompts": [[1.2, -0.8], [-1.0, 0.9]]},
         "noise_sd": 0.0,
-        "input_law": {"low": -1.0, "high": 1.0},
     }
 
 
@@ -304,12 +303,10 @@ def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key, value):
         ("gen_linear.json", ("model", "noise_sd"), "abc", "noise_sd"),
         ("gen_linear.json", ("model", "bank"), 5, "bank"),
         ("gen_linear.json", ("model", "measure", "prompts"), "x", "prompts"),
-        ("gen_linear.json", ("model", "input_law", "low"), "a", "low"),
         # json reads the NaN and Infinity literals that json.dumps writes
         ("gen_linear.json", ("model", "noise_sd"), float("nan"), "noise_sd"),
         ("smoke_sweep.json", ("fit", "box_bound"), float("inf"), "box_bound"),
         ("fit_linear.json", ("fit", "scale"), float("nan"), "scale"),
-        ("gen_linear.json", ("model", "input_law", "low"), float("-inf"), "low"),
         ("equiv.json", ("tolerance",), float("nan"), "tolerance"),
         ("equiv.json", ("tolerance",), 10**400, "tolerance"),
         # sizes below 1 are refused when the config loads, before any cell runs
@@ -318,8 +315,8 @@ def test_misspelled_top_level_key_exits_2(tmp_path, capsys, name, key, value):
     ],
     ids=[
         "fit-dataset", "fit-scale", "fit-atom_budget", "witness-sample_sizes", "sweep-replications", "equiv-trials",
-        "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-input_law-low", "gen-noise_sd-nan",
-        "sweep-box_bound-inf", "fit-scale-nan", "gen-input_law-low-inf", "equiv-tolerance-nan",
+        "gen-noise_sd", "gen-bank", "gen-measure-prompts", "gen-noise_sd-nan",
+        "sweep-box_bound-inf", "fit-scale-nan", "equiv-tolerance-nan",
         "equiv-tolerance-beyond-float", "witness-sample_sizes-zero", "sweep-sample_sizes-zero",
     ],
 )
@@ -346,13 +343,11 @@ def test_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, name, path, va
         (("bank",), "random", {"n_experts": 2, "dim": 2, "seed": 11}),
         (("proj",), "d", 0.5),
         (("proj",), "random", {"dim": 2, "seed": 8}),
-        (("input_law",), "hi", 0.5),
+        ((), "input_law", {"low": -1.0, "high": 1.0}),  # the covariates are uniform on [-1, 1]
         (("measure",), "act1", 0.5),  # only the latent variant has activations
         (("bank",), "expert_form", "linear"),
-        (("input_law",), "kind", "uniform"),
     ],
-    ids=["model", "bank", "bank-random", "proj", "proj-random", "input_law", "measure-act1", "bank-expert_form",
-         "input_law-kind"],
+    ids=["model", "bank", "bank-random", "proj", "proj-random", "input_law", "measure-act1", "bank-expert_form"],
 )
 def test_unknown_model_key_exits_2(tmp_path, capsys, block, key, value):
     data = json.loads((CONFIGS / "gen_linear.json").read_text())
@@ -386,11 +381,15 @@ def _break_meta(csv_path, text):
     [
         (_break_csv, "x_1,x_2,y\n0.5,abc,1.0\n", "linear_dataset.csv"),
         (_break_csv, "", "linear_dataset.csv"),
+        (_break_csv, "x_1,x_2,y\n", "linear_dataset.csv"),
+        (_break_csv, "x_1,x_2,y\n0.5,0.25,nan\n", "linear_dataset.csv"),
+        (_break_csv, "x_1,x_2,x_3,y\n0.5,0.25,0.1,1.0\n", "linear_dataset.csv"),  # the model has dim 2
         (_break_meta, None, "linear_dataset.meta.json"),
         (_break_meta, "{not json", "linear_dataset.meta.json"),
         (_break_meta, "[1, 2]", "linear_dataset.meta.json"),
     ],
-    ids=["non-numeric-cell", "empty-csv", "missing-sidecar", "sidecar-not-json", "sidecar-a-list"],
+    ids=["non-numeric-cell", "empty-csv", "header-only", "nan-response", "wrong-width", "missing-sidecar",
+         "sidecar-not-json", "sidecar-a-list"],
 )
 def test_fit_on_a_malformed_dataset_exits_2(tmp_path, capsys, damage, text, named):
     out = tmp_path / "out"
@@ -407,9 +406,13 @@ def test_unknown_key_in_the_sidecar_model_names_the_sidecar(tmp_path, capsys):
     assert main(["gen", "--config", str(CONFIGS / "gen_linear.json"), "--output-dir", str(out)]) == 0
     meta_path = out / "linear_dataset.meta.json"
     meta = json.loads(meta_path.read_text())
-    # a key no model has, and one that sidecars written before its removal hold
-    for block, key, where in ((meta["model"], "bogus", "model"), (meta["model"]["bank"], "expert_form", "model.bank")):
-        block[key] = "linear"
+    # a key no model has, and ones that sidecars written before their removal hold
+    for block, key, value, where in (
+        (meta["model"], "bogus", "linear", "model"),
+        (meta["model"]["bank"], "expert_form", "linear", "model.bank"),
+        (meta["model"], "input_law", {"low": -1.0, "high": 1.0}, "model"),
+    ):
+        block[key] = value
         meta_path.write_text(json.dumps(meta))
         del block[key]
         capsys.readouterr()
@@ -434,6 +437,46 @@ def test_equiv_field_out_of_range_exits_2(tmp_path, capsys, key, value, named):
     assert main(["equiv", "--config", str(cfg), "--output-dir", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not (out / "equiv_report.json").exists()
+
+
+def _set(path, value):
+    def edit(data):
+        block = data
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return edit
+
+
+def _coincident_prompts(data):
+    # two tied atoms with one prompt share one projected key
+    prompts = data["model"]["measure"]["prompts"]
+    prompts[1] = prompts[0]
+
+
+@pytest.mark.parametrize(
+    "name, edit, named, flags",
+    [
+        ("smoke_sweep.json", _set(("sample_sizes",), [0, 90, 130]), "sample_sizes", []),
+        ("smoke_sweep.json", _coincident_prompts, "identifiability", []),
+        ("smoke_sweep.json", _coincident_prompts, "identifiability", ["--dry-run"]),
+        ("witness.json", _set(("r",), 0), "'r'", []),
+        ("equiv.json", _set(("trials",), -1), "'trials'", []),
+        ("gen_linear.json", _set(("n",), 0), "'n'", []),
+        ("gen_linear.json", _set(("model", "bank", "gate_biases"), [0.0]), "model.bank: gate_biases", []),
+    ],
+    ids=["sweep-sample_sizes", "sweep-coincident-prompts", "sweep-coincident-prompts-dry-run", "witness-r",
+         "equiv-trials", "gen-n", "gen-gate_biases"],
+)
+def test_a_value_its_schema_refuses_names_the_config_and_writes_nothing(tmp_path, capsys, name, edit, named, flags):
+    data = json.loads((CONFIGS / name).read_text())
+    edit(data)
+    cfg = write_config(tmp_path, name, data)
+    out = tmp_path / "out"
+    assert main([command_of(name), "--config", str(cfg), "--output-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count(str(cfg)) == 1 and named in err
+    assert not out.exists()
 
 
 def test_fit_result_does_not_depend_on_output_dir(tmp_path):

@@ -85,7 +85,7 @@ def test_single_residual_objective_is_squared_offset():
     x = np.array([[0.2, 0.7]])
     model = RegressionModel(bank, proj, measure, 0.0)
     c = 0.37
-    ds = Dataset(x, np.array([eval_regression(model, x[0]) + c]), 0, {})
+    ds = Dataset(x, np.array([eval_regression(model, x[0]) + c]))
     assert abs(objective(measure, bank, proj, ds) - c * c) <= 1e-15
 
 
@@ -238,9 +238,9 @@ def test_fit_is_bitwise_deterministic():
 
 def test_non_finite_data_marks_fit_failed():
     bank, proj = make_parts()
-    x = np.random.default_rng(0).uniform(-1, 1, size=(10, 2))
-    y = np.full(10, np.nan)
-    ds = Dataset(x, y, 0, {})
+    # finite covariates whose gate logits overflow at the start
+    x = np.full((10, 2), 1e200)
+    ds = Dataset(x, np.zeros(10))
     reference = LinearSharedMeasure([0.0], [[1.0, -0.5]])
     result = fit(ds, bank, proj, reference, FitConfig(1, scale=0.1), seed=6)
     assert result.failed and result.failure_reason

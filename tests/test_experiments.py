@@ -13,7 +13,6 @@ import pytest
 from prefixmoe import (
     ConfigurationError,
     FitConfig,
-    InputLaw,
     LinearSharedMeasure,
     NonSharedMeasure,
     PretrainedBank,
@@ -44,23 +43,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_identical_functions_have_zero_distance():
     fn = lambda x: x[:, 0] ** 2
-    assert l2_norm(fn, fn, InputLaw(), 3) == 0.0
+    assert l2_norm(fn, fn, 3) == 0.0
 
 
 def test_constant_offset_is_recovered_exactly():
     for dim in (1, 2, 3):
-        value = l2_norm(lambda x: x[:, 0], lambda x: x[:, 0] + 0.75, InputLaw(), dim)
+        value = l2_norm(lambda x: x[:, 0], lambda x: x[:, 0] + 0.75, dim)
         assert abs(value - 0.75) <= 1e-15
 
 
 def test_linear_difference_matches_closed_form_integral():
-    # f - g = x_0 on Uniform[low, high]^dim: the L2 norm is the root of
-    # (high^3 - low^3) / (3 (high - low)), 1/sqrt(3) on [-1, 1]
-    for low, high in ((-1.0, 1.0), (-2.0, 0.5)):
-        exact = math.sqrt((high**3 - low**3) / (3 * (high - low)))
-        for dim in (1, 2, 3):
-            law = InputLaw(low=low, high=high)
-            assert abs(l2_norm(lambda x: x[:, 0], lambda x: np.zeros(len(x)), law, dim) - exact) <= 1e-14
+    # f - g = x_0 on Uniform[-1, 1]^dim: the L2 norm is 1/sqrt(3)
+    exact = 1.0 / math.sqrt(3.0)
+    for dim in (1, 2, 3):
+        assert abs(l2_norm(lambda x: x[:, 0], lambda x: np.zeros(len(x)), dim) - exact) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -74,9 +70,9 @@ def test_sixteen_nodes_agree_with_twenty_four_on_fitted_measures(name, monkeypat
     assert not result.failed
     fitted = regression_fn(model.bank, model.proj, result.measure)
     truth = regression_fn(model.bank, model.proj, model.measure)
-    coarse = l2_norm(fitted, truth, model.input_law, model.proj.dim)
+    coarse = l2_norm(fitted, truth, model.proj.dim)
     monkeypatch.setattr(experiments, "QUADRATURE_NODES", 24)
-    fine = l2_norm(fitted, truth, model.input_law, model.proj.dim)
+    fine = l2_norm(fitted, truth, model.proj.dim)
     assert coarse > 0 and abs(coarse - fine) <= 1e-10 * fine
 
 
@@ -136,7 +132,7 @@ def test_witness_density_ratio_shrinks_like_one_over_n():
 
     def ratio(n):
         witness = witness_sequence(truth, n, 1)
-        l2 = l2_norm(regression_fn(bank, proj, witness), truth_fn, InputLaw(), 3)
+        l2 = l2_norm(regression_fn(bank, proj, witness), truth_fn, 3)
         return l2 / loss_d1r(witness, truth, 1)
 
     assert ratio(100) <= 0.25 * ratio(10)
@@ -295,15 +291,8 @@ def test_sweep_rejects_non_identifiable_truth():
     bank, proj, _ = tiny_parts()
     clashing = LinearSharedMeasure([0.0, 0.0], [[1.0, 0.5], [1.0, 0.5]])
     model = RegressionModel(bank, proj, clashing, noise_sd=0.1)
-    spec = SweepSpec(
-        model=model,
-        sample_sizes=(50,),
-        replications=1,
-        fit=FitConfig(2, scale=0.1),
-        seed=5,
-    )
-    with pytest.raises(ConfigurationError):
-        run_sweep(spec)
+    with pytest.raises(ConfigurationError, match="identifiability"):
+        SweepSpec(model=model, sample_sizes=(50,), replications=1, fit=FitConfig(2, scale=0.1), seed=5)
 
 
 def test_sweep_spec_validation():

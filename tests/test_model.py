@@ -8,7 +8,6 @@ import pytest
 from prefixmoe import (
     ConfigurationError,
     Dataset,
-    InputLaw,
     LinearSharedMeasure,
     NeuralSharedMeasure,
     NonSharedMeasure,
@@ -211,28 +210,13 @@ def test_model_round_trips_through_dict():
     latent = NeuralSharedMeasure(
         rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), [0.1, -0.2], rng.normal(size=(2, 2))
     )
-    model = RegressionModel(bank, proj, latent, noise_sd=0.25, input_law=InputLaw(low=-2.0, high=0.5))
+    model = RegressionModel(bank, proj, latent, noise_sd=0.25)
     clone = model_from_dict(model_to_dict(model))
     assert np.array_equal(clone.measure.w1, model.measure.w1)
     assert np.array_equal(clone.bank.gate_mats, model.bank.gate_mats)
-    assert clone.input_law == model.input_law
     assert clone.noise_sd == model.noise_sd
     x = rng.uniform(-1, 1, size=(20, 3))
     np.testing.assert_array_equal(eval_regression(model, x), eval_regression(clone, x))
-
-
-def test_unknown_input_law_kind_is_configuration_error():
-    model = RegressionModel(zero_bank(), make_proj(), LinearSharedMeasure([0.0], [[1.0, -0.5]]), noise_sd=0.1)
-    data = model_to_dict(model)
-    data["input_law"] = {"kind": "unifrom"}
-    with pytest.raises(ConfigurationError, match="unknown field 'kind'"):
-        model_from_dict(data)
-
-
-@pytest.mark.parametrize("low, high", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)])
-def test_input_law_refuses_non_finite_bounds(low, high):
-    with pytest.raises(ConfigurationError, match="finite"):
-        InputLaw(low, high)
 
 
 def test_affine_expert_form_is_configuration_error():
@@ -250,9 +234,6 @@ def test_dataset_round_trips_through_csv(tmp_path):
     ds = gen_dataset(model, 30, seed=9)
     path = tmp_path / "sample.csv"
     path.write_text(ds.csv_text())
-    Dataset.meta_path(path).write_text(ds.meta_text())
     clone = Dataset.load(path)
     assert np.array_equal(clone.x, ds.x)
     assert np.array_equal(clone.y, ds.y)
-    assert clone.provenance["model"]["measure"]["variant"] == "linear_shared"
-    assert clone.seed == 9
