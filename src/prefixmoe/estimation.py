@@ -17,6 +17,21 @@ prompt for untied atoms, the prompt for tied and latent atoms); after all
 atoms, the variant's ``shared_fields`` (w1 then w2 for the latent variant),
 row-major. The same code handles every variant: it reads only the
 measure's declared fields and its ``prompt_map``.
+
+The residual and Jacobian are computed in place and without a stacked
+logit array, yet bit for bit as the plain formulation would (softmax over
+the stacked bank and atom logits less their row max, Jacobian
+concatenated from per-atom derivative blocks), so fits and sweep outputs
+do not move. Elementwise steps and max are exact and may be regrouped;
+the reductions that round are pinned in their form:
+
+* the gate normalizer ``e.sum(axis=1)`` over the whole shifted row;
+* the bank term ``(e_bank * expert_values).sum(axis=1)``;
+* the atom term ``gates @ cvals``;
+* for the latent variant, the two ``einsum("ika,kl->ial", ...)`` of the
+  shared maps, and ``d_key @ w1 + d_value @ w2``, now one 2-D product
+  each on the (samples * atoms, width) reshape, which the tests hold to
+  the stacked product's bits.
 """
 
 from __future__ import annotations
@@ -169,9 +184,13 @@ class _Problem:
         self.x = dataset.x
         self.y = dataset.y
         self.pre_logits = bank.gate_logits(self.x)
+        self.pre_max = self.pre_logits.max(axis=1)
         self.pre_values = bank.expert_values(self.x)
         self.xb = self.x @ proj.b  # row i holds (b^T x_i)^T
         self.c = proj.c
+        # columns per atom: the log-weight, then the atom fields
+        self.atom_width = 1 + sum(getattr(template, name).shape[1] for name in template.atom_fields)
+        self.n_params = pack_parameters(template).size
 
     def forward(self, theta: np.ndarray):
         """Residual ``f(x_i) - y_i``, one entry per sample, and the arrays
@@ -181,9 +200,16 @@ class _Problem:
         cvals = values @ self.c
         n_bank = self.pre_logits.shape[1]
 
-        logits = np.hstack([self.pre_logits, self.xb @ kappa.T + b])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
+        atom_logits = self.xb @ kappa.T + b
+        # the row max over bank and atom logits, one atom column at a time;
+        # max is exact, so this is bitwise the max over the whole row
+        top = self.pre_max.copy()
+        for column in atom_logits.T:
+            np.maximum(top, column, out=top)
+        e = np.empty((len(self.y), n_bank + atom_logits.shape[1]))
+        np.subtract(self.pre_logits, top[:, None], out=e[:, :n_bank])
+        np.subtract(atom_logits, top[:, None], out=e[:, n_bank:])
+        np.exp(e, out=e)
         denom = e.sum(axis=1)
         gates = e[:, n_bank:] / denom[:, None]  # prefix gates, (samples, atoms)
         f = (e[:, :n_bank] * self.pre_values).sum(axis=1) / denom + gates @ cvals
@@ -191,17 +217,15 @@ class _Problem:
 
     def jacobian(self, state) -> np.ndarray:
         """Residual Jacobian, one row per sample, from the ``state`` that
-        ``forward`` returned at the same parameters."""
+        ``forward`` returned at the same parameters. Each call returns a
+        new array: the solver keeps the previous Jacobian."""
         f, gates, cvals, vjp = state
-        # df/d(log-weight), df/d(projected key) and df/d(expert value) per atom
-        d_bias = gates * (cvals[None, :] - f[:, None])
-        d_key = d_bias[:, :, None] * self.xb[:, None, :]
-        d_value = gates[:, :, None] * self.c[None, None, :]
-        atom_cols, shared_cols = vjp(d_key, d_value)
-        rows = len(f)
-        jac = np.concatenate([d_bias[:, :, None], *atom_cols], axis=2).reshape(rows, -1)
-        if shared_cols:
-            jac = np.hstack([jac, *shared_cols])
+        rows, atoms = gates.shape
+        jac = np.empty((rows, self.n_params))
+        atom_cols = jac[:, : atoms * self.atom_width].reshape(rows, atoms, self.atom_width)
+        # df/d(log-weight) per atom
+        d_bias = np.multiply(gates, cvals[None, :] - f[:, None], out=atom_cols[:, :, 0])
+        vjp(d_bias, self.xb, gates, self.c, atom_cols[:, :, 1:], jac[:, atoms * self.atom_width :])
         return jac
 
 

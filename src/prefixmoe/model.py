@@ -210,12 +210,19 @@ class _Measure:
     declares: ``atom_fields``, one row per atom, and ``shared_fields``,
     common to all atoms, each in pack order. Its ``prompt_map(*arrays)``
     takes those arrays (atom fields, then shared fields) to
-    ``(key prompts, value prompts, vjp)``; ``vjp(d_key, d_value)`` turns
-    per-sample derivatives with respect to the key and value prompts, each
-    (samples, atoms, dim), into the Jacobian columns of the variant's own
-    arrays, as (per-atom blocks, per-shared-array blocks). Packing,
-    initialization, serialization, prediction and the residual Jacobian
-    read only this declaration.
+    ``(key prompts, value prompts, vjp)``. The derivative of sample i's
+    output with respect to coordinate j of atom k's key prompt is
+    ``d_bias[i, k] * xb[i, j]``, and with respect to coordinate j of its
+    value prompt ``gates[i, k] * c[j]``; ``vjp(d_bias, xb, gates, c,
+    atom_cols, shared_cols)`` writes from these the Jacobian columns of the
+    variant's own arrays into two views of the caller's Jacobian:
+    ``atom_cols`` (samples, atoms, summed atom-field width) and
+    ``shared_cols`` (samples, summed shared-array sizes), both in pack
+    order. It forms each product as its own rounded multiply, one prompt
+    coordinate at a time, so that untied columns hold exactly those
+    products and tied ones their sum. Packing, initialization,
+    serialization, prediction and the residual Jacobian read only this
+    declaration.
     """
 
     atom_fields: ClassVar[tuple]
@@ -270,7 +277,13 @@ class NonSharedMeasure(_Measure):
     p_value: np.ndarray
 
     def prompt_map(self, p_key, p_value):
-        return p_key, p_value, lambda d_key, d_value: ([d_key, d_value], [])
+        def vjp(d_bias, xb, gates, c, atom_cols, shared_cols):
+            dim = len(c)
+            for j in range(dim):
+                np.multiply(d_bias, xb[:, j, None], out=atom_cols[:, :, j])
+                np.multiply(gates, c[j], out=atom_cols[:, :, dim + j])
+
+        return p_key, p_value, vjp
 
     def atom_embeddings(self) -> np.ndarray:
         """Concatenated (key, value) prompt per atom, used for cell assignment."""
@@ -288,7 +301,11 @@ class LinearSharedMeasure(_Measure):
     prompts: np.ndarray
 
     def prompt_map(self, prompts):
-        return prompts, prompts, lambda d_key, d_value: ([d_key + d_value], [])
+        def vjp(d_bias, xb, gates, c, atom_cols, shared_cols):
+            for j in range(len(c)):
+                np.add(d_bias * xb[:, j, None], gates * c[j], out=atom_cols[:, :, j])
+
+        return prompts, prompts, vjp
 
     def atom_embeddings(self) -> np.ndarray:
         return self.prompts
@@ -335,13 +352,18 @@ class NeuralSharedMeasure(_Measure):
         z1 = prompts @ w1.T
         z2 = prompts @ w2.T
 
-        def vjp(d_key, d_value):
-            d_key = d_key * act1.deriv(z1)[None]
-            d_value = d_value * act2.deriv(z2)[None]
-            rows = d_key.shape[0]
-            d_w1 = np.einsum("ika,kl->ial", d_key, prompts).reshape(rows, -1)
-            d_w2 = np.einsum("ika,kl->ial", d_value, prompts).reshape(rows, -1)
-            return [d_key @ w1 + d_value @ w2], [d_w1, d_w2]
+        def vjp(d_bias, xb, gates, c, atom_cols, shared_cols):
+            slope1, slope2 = act1.deriv(z1), act2.deriv(z2)
+            rows, atoms = gates.shape
+            d_key = np.empty((rows, atoms, len(c)))
+            d_value = np.empty_like(d_key)
+            for j in range(len(c)):
+                np.multiply(d_bias * xb[:, j, None], slope1[:, j], out=d_key[:, :, j])
+                np.multiply(gates * c[j], slope2[:, j], out=d_value[:, :, j])
+            flat_key, flat_value = d_key.reshape(-1, len(c)), d_value.reshape(-1, len(c))
+            atom_cols[...] = (flat_key @ w1 + flat_value @ w2).reshape(rows, atoms, -1)
+            shared_cols[:, : w1.size] = np.einsum("ika,kl->ial", d_key, prompts).reshape(rows, -1)
+            shared_cols[:, w1.size :] = np.einsum("ika,kl->ial", d_value, prompts).reshape(rows, -1)
 
         return act1.fn(z1), act2.fn(z2), vjp
 
@@ -476,23 +498,33 @@ class Dataset:
         p = Path(csv_path)
         return p.with_name(p.stem + ".meta.json")
 
+    @staticmethod
+    def _header(dim: int) -> list:
+        return [f"x_{j + 1}" for j in range(dim)] + ["y"]
+
     def csv_text(self) -> str:
-        header = [f"x_{j + 1}" for j in range(self.x.shape[1])] + ["y"]
-        return csv_text(header, ([*row, value] for row, value in zip(self.x, self.y)))
+        return csv_text(self._header(self.x.shape[1]), ([*row, value] for row, value in zip(self.x, self.y)))
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
-        """Read a sample written as ``csv_text``: a header line, then one
-        row of covariates and the response per sample. A missing, empty or
-        malformed file is a ConfigurationError naming it."""
+        """Read a sample written as ``csv_text``: the header ``x_1,...,x_d,y``,
+        then one row of covariates and the response per sample, with no
+        comment lines. A missing, empty or malformed file, or a header that
+        does not name its rows' columns, is a ConfigurationError naming it."""
         path = Path(csv_path)
         if not path.is_file():
             raise ConfigurationError(f"dataset file not found: {path}")
         try:
-            with warnings.catch_warnings():
+            with path.open() as handle, warnings.catch_warnings():
                 # a file without rows; the check below names it
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                header = handle.readline().rstrip("\n")
+                data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            expected = ",".join(cls._header(data.shape[1] - 1))
+            if data.size and header != expected:
+                raise ConfigurationError(
+                    f"header {header!r} does not match rows of {data.shape[1]} columns, expected {expected!r}"
+                )
             return cls(data[:, :-1], data[:, -1])
         except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc

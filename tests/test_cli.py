@@ -384,12 +384,14 @@ def _break_meta(csv_path, text):
         (_break_csv, "x_1,x_2,y\n", "linear_dataset.csv"),
         (_break_csv, "x_1,x_2,y\n0.5,0.25,nan\n", "linear_dataset.csv"),
         (_break_csv, "x_1,x_2,x_3,y\n0.5,0.25,0.1,1.0\n", "linear_dataset.csv"),  # the model has dim 2
+        (_break_csv, "x_1,x_3,y\n0.5,0.25,1.0\n", "linear_dataset.csv"),
+        (_break_csv, "x_1,x_2,y\n# a note\n0.5,0.25,1.0\n", "linear_dataset.csv"),
         (_break_meta, None, "linear_dataset.meta.json"),
         (_break_meta, "{not json", "linear_dataset.meta.json"),
         (_break_meta, "[1, 2]", "linear_dataset.meta.json"),
     ],
-    ids=["non-numeric-cell", "empty-csv", "header-only", "nan-response", "wrong-width", "missing-sidecar",
-         "sidecar-not-json", "sidecar-a-list"],
+    ids=["non-numeric-cell", "empty-csv", "header-only", "nan-response", "wrong-width", "wrong-header",
+         "comment-line", "missing-sidecar", "sidecar-not-json", "sidecar-a-list"],
 )
 def test_fit_on_a_malformed_dataset_exits_2(tmp_path, capsys, damage, text, named):
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from prefixmoe import (
     RegressionModel,
     eval_regression,
     fit,
+    gate_weights,
     gen_dataset,
     gradient,
     loss_d2,
@@ -29,7 +31,8 @@ from prefixmoe import (
     pack_parameters,
     unpack_parameters,
 )
-from prefixmoe.estimation import _perturbed_init
+from prefixmoe.estimation import _perturbed_init, _Problem
+from prefixmoe.model import ACTIVATIONS
 
 VARIANTS = ("non_shared", "linear_shared", "neural_shared")
 # the same examples in every process, and no replay of stored failures
@@ -155,6 +158,92 @@ def test_atom_permutation_permutes_gradient_blocks():
     g = gradient(measure, bank, proj, ds).reshape(3, -1)
     g_shuffled = gradient(shuffled, bank, proj, ds).reshape(3, -1)
     np.testing.assert_allclose(g_shuffled, g[perm], atol=1e-12)
+
+
+def reference_residual_and_jacobian(measure, bank, proj, ds):
+    """The residual and its Jacobian in the plain formulation: the row max
+    over the stacked logits, and the Jacobian concatenated from (samples,
+    atoms, dim) derivative blocks."""
+    x, c = ds.x, proj.c
+    xb = x @ proj.b
+    if measure.variant == "neural_shared":
+        act1, act2 = ACTIVATIONS[measure.act1], ACTIVATIONS[measure.act2]
+        z1, z2 = measure.prompts @ measure.w1.T, measure.prompts @ measure.w2.T
+        kappa, values = act1.fn(z1), act2.fn(z2)
+    elif measure.variant == "linear_shared":
+        kappa = values = measure.prompts
+    else:
+        kappa, values = measure.p_key, measure.p_value
+    cvals = values @ c
+    pre_logits, pre_values = bank.gate_logits(x), bank.expert_values(x)
+    n_bank = pre_logits.shape[1]
+    logits = np.hstack([pre_logits, xb @ kappa.T + measure.log_weights])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    denom = e.sum(axis=1)
+    gates = e[:, n_bank:] / denom[:, None]
+    f = (e[:, :n_bank] * pre_values).sum(axis=1) / denom + gates @ cvals
+
+    d_bias = gates * (cvals[None, :] - f[:, None])
+    d_key = d_bias[:, :, None] * xb[:, None, :]
+    d_value = gates[:, :, None] * c[None, None, :]
+    shared_cols = []
+    if measure.variant == "neural_shared":
+        d_key = d_key * act1.deriv(z1)[None]
+        d_value = d_value * act2.deriv(z2)[None]
+        atom_cols = [d_key @ measure.w1 + d_value @ measure.w2]
+        shared_cols = [np.einsum("ika,kl->ial", d, measure.prompts).reshape(len(f), -1) for d in (d_key, d_value)]
+    elif measure.variant == "linear_shared":
+        atom_cols = [d_key + d_value]
+    else:
+        atom_cols = [d_key, d_value]
+    jac = np.concatenate([d_bias[:, :, None], *atom_cols], axis=2).reshape(len(f), -1)
+    return f - ds.y, np.hstack([jac, *shared_cols])
+
+
+def shifted_start(variant, n, budget, shift):
+    """A perturbed start of the variant on n samples from a 4-expert bank,
+    with every log-weight moved by ``shift``."""
+    rng = np.random.default_rng(60 + n + budget)
+    bank, proj = make_parts(d=3, n_experts=4, seed=7)
+    truth = random_measure(variant, rng, d=3, n_atoms=2)
+    ds = gen_dataset(RegressionModel(bank, proj, truth, 0.1), n, seed=n)
+    start = _perturbed_init(truth, budget, 0.1, rng)
+    return replace(start, log_weights=start.log_weights + shift), bank, proj, ds
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [1, 7, 3200])
+@pytest.mark.parametrize("budget", [1, 3])
+@pytest.mark.parametrize("row_max", ["bank", "atom"])
+def test_residual_and_jacobian_match_the_reference_bit_for_bit(variant, n, budget, row_max):
+    start, bank, proj, ds = shifted_start(variant, n, budget, -12.0 if row_max == "bank" else 12.0)
+    # every row's largest logit is a bank logit, or an atom logit
+    largest = gate_weights(RegressionModel(bank, proj, start, 0.0), ds.x).argmax(axis=1)
+    assert np.all((largest >= bank.n_experts) == (row_max == "atom"))
+
+    problem = _Problem(start, bank, proj, ds)
+    residual, state = problem.forward(pack_parameters(start))
+    expected_residual, expected_jac = reference_residual_and_jacobian(start, bank, proj, ds)
+    assert residual.tobytes() == expected_residual.tobytes()
+    jac = problem.jacobian(state)
+    assert jac.shape == expected_jac.shape
+    assert jac.tobytes() == expected_jac.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_later_point_leaves_earlier_residuals_and_jacobians_unchanged(variant):
+    # least_squares keeps the residual and Jacobian of its current point
+    # while it evaluates trial points
+    start, bank, proj, ds = shifted_start(variant, 50, 3, 0.0)
+    problem = _Problem(start, bank, proj, ds)
+    theta = pack_parameters(start)
+    residual, state = problem.forward(theta)
+    jac = problem.jacobian(state)
+    kept = residual.copy(), jac.copy()
+    later_residual, later_state = problem.forward(theta + 0.1)
+    later_jac = problem.jacobian(later_state)
+    assert residual.tobytes() == kept[0].tobytes() and jac.tobytes() == kept[1].tobytes()
+    assert later_residual.tobytes() != kept[0].tobytes() and later_jac.tobytes() != kept[1].tobytes()
 
 
 @settings(PROPERTY, max_examples=60)

@@ -237,3 +237,23 @@ def test_dataset_round_trips_through_csv(tmp_path):
     clone = Dataset.load(path)
     assert np.array_equal(clone.x, ds.x)
     assert np.array_equal(clone.y, ds.y)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a header for two covariates over rows of three
+        ("x_1,x_2,y\n0.5,0.25,0.1,1.0\n", "header 'x_1,x_2,y' does not match rows of 4 columns"),
+        ("x_1,x_3,y\n0.5,0.25,1.0\n", "expected 'x_1,x_2,y'"),
+        ("a,b,y\n0.5,0.25,1.0\n", "expected 'x_1,x_2,y'"),
+        # no comment lines: a '#' line is a malformed row, not a skipped one
+        ("x_1,x_2,y\n# a note\n0.5,0.25,1.0\n", "could not convert"),
+    ],
+    ids=["too-few-names", "wrong-name", "foreign-names", "comment-line"],
+)
+def test_dataset_load_refuses_a_header_that_does_not_name_its_rows_and_comment_lines(tmp_path, text, message):
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=message) as info:
+        Dataset.load(path)
+    assert str(info.value).startswith(f"{path}: ")
