@@ -1,6 +1,7 @@
-"""Small shared helpers: read-only arrays, row softmax, typed config fields,
-the JSON form of the lab's dataclasses, and the one JSON reader and the
-JSON and CSV writers of every file the lab reads or writes."""
+"""Small shared helpers: read-only arrays, a maximum that keeps NaN, row
+softmax, typed config fields, the JSON form of the lab's dataclasses, and
+the one JSON reader and the JSON and CSV writers of every file the lab
+reads or writes."""
 
 from __future__ import annotations
 
@@ -27,10 +28,20 @@ def frozen_array(value, shape=None, name="array"):
         raise ConfigurationError(f"{name}: expected a numeric array, got {value!r}") from exc
     if shape is not None and arr.shape != shape:
         raise ConfigurationError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ConfigurationError(f"{name}: non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def worst_of(deviations) -> float:
+    """The largest of 0.0 and ``deviations``, and NaN once one is NaN:
+    ``max`` keeps whichever of a NaN and a number comes first."""
+    worst = 0.0
+    for value in deviations:
+        if value > worst or value != value:
+            worst = value
+    return worst
 
 
 def softmax_rows(logits):

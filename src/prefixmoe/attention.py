@@ -8,6 +8,12 @@ modes. All functions here are pure; the decomposition associates its
 scores as q (wq wk^T) k^T, unlike the forward's (q wq)(k wk)^T, so that
 agreement between the two routes is a meaningful floating-point check
 rather than a tautology.
+
+An equivalence trial forms each head's wq wk^T and token experts x wv once
+and uses them in both modes, since neither depends on the prompts. Its two
+routes run through the private helpers behind ``head_outputs``, the
+forwards and ``moe_decompose``, so a trial checks the code users call and
+gives the same bits as calling them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array, softmax_rows, to_json
+from ._util import frozen_array, softmax_rows, to_json, worst_of
 from .errors import ConfigurationError, UsageError
 
 __all__ = [
@@ -139,31 +145,39 @@ def _tuned_rows(bundle: AttentionBundle, prompts: PromptSet, mode: str):
         raise ConfigurationError(f"prompt dim {prompts.p_key.shape[1]} != bundle dim {bundle.dim}")
     # an empty prompt set of any width adds no rows
     p_key, p_value = (prompts.p_key, prompts.p_value) if prompts.length else (np.zeros((0, bundle.dim)),) * 2
-    queries = np.vstack([bundle.x, p_key]) if mode == "prompt" else bundle.x
+    queries = np.concatenate([bundle.x, p_key]) if mode == "prompt" else bundle.x
     return queries, p_key, p_value
 
 
-def _head_outputs(bundle: AttentionBundle, queries, p_key, p_value) -> np.ndarray:
+def _head_rows(bundle: AttentionBundle, queries, p_key, p_value):
+    """Each head's output rows, (rows, d_head) per head, in head order."""
     scale = 1.0 / math.sqrt(bundle.d_head)
-    keys = np.vstack([p_key, bundle.x])
-    values = np.vstack([p_value, bundle.x])
-    out = np.empty((bundle.n_heads, queries.shape[0], bundle.d_head))
+    keys = np.concatenate([p_key, bundle.x])
+    values = np.concatenate([p_value, bundle.x])
     for head in range(bundle.n_heads):
         q = queries @ bundle.wq[head]
         k = keys @ bundle.wk[head]
         v = values @ bundle.wv[head]
-        out[head] = softmax_rows(q @ k.T * scale) @ v
-    return out
+        yield softmax_rows(q @ k.T * scale) @ v
 
 
-def _concat_project(bundle: AttentionBundle, heads: np.ndarray) -> np.ndarray:
-    return np.concatenate(list(heads), axis=1) @ bundle.wo
+def _project(bundle: AttentionBundle, n_rows: int, heads) -> np.ndarray:
+    """The per-head rows ``heads`` side by side, times the output projection."""
+    joined = np.empty((n_rows, bundle.dim))
+    d_head = bundle.d_head
+    for head, rows in enumerate(heads):
+        joined[:, head * d_head : (head + 1) * d_head] = rows
+    return joined @ bundle.wo
+
+
+def _forward(bundle: AttentionBundle, queries, p_key, p_value) -> np.ndarray:
+    return _project(bundle, queries.shape[0], _head_rows(bundle, queries, p_key, p_value))
 
 
 def msa_forward(bundle: AttentionBundle) -> np.ndarray:
     """Plain multi-head self-attention output, one row per input token."""
     empty = np.zeros((0, bundle.dim))
-    return _concat_project(bundle, _head_outputs(bundle, bundle.x, empty, empty))
+    return _forward(bundle, bundle.x, empty, empty)
 
 
 def prefix_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
@@ -172,7 +186,7 @@ def prefix_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     The output keeps one row per input token; with an empty prompt set the
     stacked keys and values are the input rows, so it equals ``msa_forward``.
     """
-    return _concat_project(bundle, _head_outputs(bundle, *_tuned_rows(bundle, prompts, "prefix")))
+    return _forward(bundle, *_tuned_rows(bundle, prompts, "prefix"))
 
 
 def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
@@ -182,14 +196,14 @@ def prompt_forward(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     one row per prompt vector (each prompt row is a fresh mixture over the
     same expanded expert set).
     """
-    return _concat_project(bundle, _head_outputs(bundle, *_tuned_rows(bundle, prompts, "prompt")))
+    return _forward(bundle, *_tuned_rows(bundle, prompts, "prompt"))
 
 
 def head_outputs(bundle: AttentionBundle, prompts: PromptSet) -> np.ndarray:
     """Per-head outputs (n_heads, rows, d_head) of tuned attention in the
     prompt set's mode: one row per input token, then, in prompt mode, one
     row per prompt."""
-    return _head_outputs(bundle, *_tuned_rows(bundle, prompts, prompts.mode))
+    return np.array(list(_head_rows(bundle, *_tuned_rows(bundle, prompts, prompts.mode))))
 
 
 @dataclass(frozen=True)
@@ -210,6 +224,15 @@ class MoeDecomposition:
         return self.gates @ self.experts
 
 
+def _mixture(bundle: AttentionBundle, head: int, queries, p_key, p_value, qk, x_experts):
+    """(scores, experts) of one head's mixture view, given the head's
+    ``qk = wq wk^T`` and its token experts ``x_experts = x wv``."""
+    qc = queries @ qk
+    scores = np.concatenate([qc @ bundle.x.T, qc @ p_key.T], axis=1) * (1.0 / math.sqrt(bundle.d_head))
+    experts = np.concatenate([x_experts, p_value @ bundle.wv[head]])
+    return scores, experts
+
+
 def moe_decompose(bundle: AttentionBundle, prompts: PromptSet, head: int = 0) -> MoeDecomposition:
     """Mixture view of tuned attention for one head, one row per row of
     ``head_outputs``.
@@ -223,10 +246,9 @@ def moe_decompose(bundle: AttentionBundle, prompts: PromptSet, head: int = 0) ->
     """
     if not 0 <= head < bundle.n_heads:
         raise ConfigurationError(f"head {head} out of range for {bundle.n_heads} heads")
-    queries, p_key, p_value = _tuned_rows(bundle, prompts, prompts.mode)
-    qc = queries @ (bundle.wq[head] @ bundle.wk[head].T)
-    scores = np.hstack([qc @ bundle.x.T, qc @ p_key.T]) * (1.0 / math.sqrt(bundle.d_head))
-    experts = np.vstack([bundle.x @ bundle.wv[head], p_value @ bundle.wv[head]])
+    qk = bundle.wq[head] @ bundle.wk[head].T
+    rows = _tuned_rows(bundle, prompts, prompts.mode)
+    scores, experts = _mixture(bundle, head, *rows, qk, bundle.x @ bundle.wv[head])
     return MoeDecomposition(head, softmax_rows(scores), scores, experts)
 
 
@@ -281,7 +303,7 @@ def run_equivalence_trials(n_trials: int, seed: int, tolerance: float = 1e-9) ->
         if not value >= 0:
             raise ConfigurationError(f"{name} must be at least 0, got {value}")
     rng = np.random.default_rng(int(seed))
-    worst = {"prefix": 0.0, "prompt": 0.0}
+    deviations = {"prefix": [], "prompt": []}
     for _ in range(n_trials):
         m = EQUIV_HEADS[int(rng.integers(0, len(EQUIV_HEADS)))]
         d_head = int(rng.integers(1, EQUIV_MAX_DIM // m + 1))
@@ -294,8 +316,12 @@ def run_equivalence_trials(n_trials: int, seed: int, tolerance: float = 1e-9) ->
             rng.standard_normal((n_prefix, dim)), rng.standard_normal((n_prefix, dim))
         )
         prompt = PromptSet.prompt(rng.standard_normal((n_prompt, dim)))
+        # both modes share each head's wq wk^T and token experts x wv
+        shared = [(bundle.wq[h] @ bundle.wk[h].T, bundle.x @ bundle.wv[h]) for h in range(m)]
         for prompts in (prefix, prompt):
-            direct = _concat_project(bundle, head_outputs(bundle, prompts))
-            rebuilt = _concat_project(bundle, [moe_decompose(bundle, prompts, h).reconstruct() for h in range(m)])
-            worst[prompts.mode] = max(worst[prompts.mode], float(np.abs(direct - rebuilt).max()))
-    return EquivalenceReport(n_trials, tolerance, worst["prefix"], worst["prompt"])
+            rows = _tuned_rows(bundle, prompts, prompts.mode)
+            direct = _forward(bundle, *rows)
+            mixtures = (_mixture(bundle, h, *rows, *shared[h]) for h in range(m))
+            rebuilt = _project(bundle, rows[0].shape[0], (softmax_rows(s) @ e for s, e in mixtures))
+            deviations[prompts.mode].append(float(np.abs(direct - rebuilt).max()))
+    return EquivalenceReport(n_trials, tolerance, worst_of(deviations["prefix"]), worst_of(deviations["prompt"]))

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy
 
-from ._util import config_field, csv_text, from_json, json_text, read_json
+from ._util import config_field, csv_text, from_json, json_text, read_json, worst_of
 from .errors import ConfigurationError, UsageError
 from .estimation import ESTIMATOR_NOTE, FitConfig, fit, gradient_check
 from .experiments import (
@@ -171,7 +171,7 @@ def cmd_sweep(spec: SweepSpec, args):
 
 def cmd_witness(cfg: WitnessConfig, args):
     rows = witness_table(cfg.model, cfg.r, cfg.sample_sizes)
-    worst = max(0.0, *(abs(row["computed"] - row["closed_form"]) for row in rows))
+    worst = worst_of(abs(row["computed"] - row["closed_form"]) for row in rows)
     ratios = [row["ratio"] for row in rows]
     summary = {
         "version": 1,
@@ -188,7 +188,7 @@ def cmd_witness(cfg: WitnessConfig, args):
         "witness_table.csv": csv_text(WITNESS_COLUMNS, ([row[key] for key in WITNESS_COLUMNS] for row in rows)),
         "witness_summary.json": json_text(summary),
     }
-    if worst > WITNESS_AGREEMENT_TOL:
+    if not worst <= WITNESS_AGREEMENT_TOL:
         return files, f"witness failure: computed loss disagrees with the closed form by {worst:.3e}"
     return files, None
 

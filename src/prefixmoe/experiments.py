@@ -108,9 +108,9 @@ def witness_sequence(truth: NonSharedMeasure, index: int, r: int) -> NonSharedMe
         raise UsageError("witness construction needs an untied truth measure")
     if truth.n_atoms < 1:
         raise UsageError("witness construction needs at least one true atom")
-    if index < 1:
-        raise UsageError("witness index must be at least 1")
-    if int(r) != r or r < 1:
+    if not index >= 1 or int(index) != index:
+        raise UsageError("witness index must be a positive integer")
+    if not r >= 1 or int(r) != r:
         raise ConfigurationError("r must be a positive integer")
     n = int(index)
     r = int(r)
@@ -118,10 +118,9 @@ def witness_sequence(truth: NonSharedMeasure, index: int, r: int) -> NonSharedMe
     bump = np.zeros(truth.dim)
     bump[0] = 1.0 / n
     log_weights = np.concatenate([[math.log(half_weight)] * 2, truth.log_weights[1:]])
-    p_key = np.vstack([truth.p_key[0], truth.p_key[0], truth.p_key[1:]])
-    p_value = np.vstack(
-        [truth.p_value[0] + bump, truth.p_value[0] - bump, truth.p_value[1:]]
-    )
+    first_key, first_value = truth.p_key[:1], truth.p_value[:1]
+    p_key = np.concatenate([first_key, first_key, truth.p_key[1:]])
+    p_value = np.concatenate([first_value + bump, first_value - bump, truth.p_value[1:]])
     return NonSharedMeasure(log_weights, p_key, p_value)
 
 

@@ -287,7 +287,7 @@ class NonSharedMeasure(_Measure):
 
     def atom_embeddings(self) -> np.ndarray:
         """Concatenated (key, value) prompt per atom, used for cell assignment."""
-        return np.hstack([self.p_key, self.p_value])
+        return np.concatenate([self.p_key, self.p_value], axis=1)
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ class NeuralSharedMeasure(_Measure):
         return act1.fn(z1), act2.fn(z2), vjp
 
     def atom_embeddings(self) -> np.ndarray:
-        return np.hstack([self.prompts @ self.w1.T, self.prompts @ self.w2.T])
+        return np.concatenate([self.prompts @ self.w1.T, self.prompts @ self.w2.T], axis=1)
 
 
 MEASURE_VARIANTS = {

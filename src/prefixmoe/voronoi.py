@@ -15,6 +15,7 @@ empty still contributes its full reference weight to the weight term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ class CellAssignment:
     distances: np.ndarray
 
 
-def _check_pair(fitted, truth, expected=None):
+def _check_pair(fitted, truth, expected=None) -> int:
+    """Refuse a pair the losses cannot compare; return their prompt width."""
     expected = expected or type(truth)
     if type(fitted) is not expected or type(truth) is not expected:
         raise UsageError(
@@ -53,30 +55,34 @@ def _check_pair(fitted, truth, expected=None):
         )
     if fitted.n_atoms < 1 or truth.n_atoms < 1:
         raise UsageError("cell assignment needs non-empty measures")
-    if fitted.dim != truth.dim:
+    dim = fitted.dim
+    if dim != truth.dim:
         raise ConfigurationError("measures live in different dimensions")
     if any(getattr(fitted, f).shape[1] != getattr(truth, f).shape[1] for f in fitted.atom_fields):
         raise ConfigurationError("latent dimensions differ")
+    return dim
 
 
-def _assign(fe: np.ndarray, te: np.ndarray) -> CellAssignment:
+def _assign(fe: np.ndarray, te: np.ndarray):
+    """(cells, distances, differences) of the embeddings ``fe`` against
+    ``te``; ``differences[i, j]`` is ``fe[i] - te[j]``."""
     diff = fe[:, None, :] - te[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=2))
-    nearest = distances.argmin(axis=1)  # argmin takes the lowest index on ties
-    cells = tuple(
-        tuple(int(i) for i in np.flatnonzero(nearest == j)) for j in range(te.shape[0])
-    )
-    return CellAssignment(cells, distances)
+    cells = [[] for _ in range(te.shape[0])]
+    # argmin takes the lowest index on ties
+    for i, j in enumerate(distances.argmin(axis=1).tolist()):
+        cells[j].append(i)
+    return tuple(map(tuple, cells)), distances, diff
 
 
 def assign_cells(fitted, truth) -> CellAssignment:
     """Assign every fitted atom to its nearest true atom."""
     _check_pair(fitted, truth)
-    return _assign(fitted.atom_embeddings(), truth.atom_embeddings())
+    cells, distances, _ = _assign(fitted.atom_embeddings(), truth.atom_embeddings())
+    return CellAssignment(cells, distances)
 
 
-def _weight_term(fitted, truth, cells) -> float:
-    fw = fitted.weights
+def _weight_term(fw, truth, cells) -> float:
     tw = truth.weights
     return float(
         sum(abs(fw[list(cell)].sum() - tw[j]) for j, cell in enumerate(cells))
@@ -92,19 +98,16 @@ def _loss(fitted, truth, expected, power) -> float:
     times the sum over the ``dim``-wide blocks of ``atom_embeddings()`` of
     its distance to the cell's true atom raised to ``power(cell size)``.
     """
-    _check_pair(fitted, truth, expected)
-    fe = fitted.atom_embeddings()
-    te = truth.atom_embeddings()
-    cells = _assign(fe, te).cells
-    total = _weight_term(fitted, truth, cells)
+    d = _check_pair(fitted, truth, expected)
+    cells, _, diff = _assign(fitted.atom_embeddings(), truth.atom_embeddings())
     fw = fitted.weights
-    d = fitted.dim
-    blocks = range(0, fe.shape[1], d)
+    total = _weight_term(fw, truth, cells)
     for j, cell in enumerate(cells):
         p = power(len(cell))
         for i in cell:
-            dists = [float(np.linalg.norm(fe[i, k : k + d] - te[j, k : k + d])) for k in blocks]
-            total += fw[i] * sum(dist**p for dist in dists)
+            # each block's 2-norm as np.linalg.norm forms it for a vector,
+            # sqrt(v.dot(v)); an elementwise square-and-sum rounds differently
+            total += fw[i] * sum(math.sqrt(v @ v) ** p for v in diff[i, j].reshape(-1, d))
     return float(total)
 
 

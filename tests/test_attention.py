@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prefixmoe import attention
 from prefixmoe import (
     AttentionBundle,
     ConfigurationError,
@@ -213,3 +214,114 @@ def test_dimension_mismatch_is_configuration_error():
         AttentionBundle(np.ones((2, 5)), *(np.ones((2, 5, 2)),) * 3, np.ones((4, 5)))
     with pytest.raises(ConfigurationError):
         PromptSet.prefix(np.ones((2, 4)), np.ones((3, 4)))
+
+
+# -----------------------------------------------------------------------
+# reference: the trial loop and decomposition before the shared per-head
+# products, built on the public functions; every float must be equal
+
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_rows(bundle, prompts):
+    p_key, p_value = (prompts.p_key, prompts.p_value) if prompts.length else (np.zeros((0, bundle.dim)),) * 2
+    queries = np.vstack([bundle.x, p_key]) if prompts.mode == "prompt" else bundle.x
+    return queries, p_key, p_value
+
+
+def reference_head_outputs(bundle, prompts):
+    queries, p_key, p_value = reference_rows(bundle, prompts)
+    keys, values = np.vstack([p_key, bundle.x]), np.vstack([p_value, bundle.x])
+    out = np.empty((bundle.n_heads, queries.shape[0], bundle.d_head))
+    for head in range(bundle.n_heads):
+        q, k, v = queries @ bundle.wq[head], keys @ bundle.wk[head], values @ bundle.wv[head]
+        out[head] = reference_softmax(q @ k.T * (1.0 / math.sqrt(bundle.d_head))) @ v
+    return out
+
+
+def reference_moe(bundle, prompts, head):
+    queries, p_key, p_value = reference_rows(bundle, prompts)
+    qc = queries @ (bundle.wq[head] @ bundle.wk[head].T)
+    scores = np.hstack([qc @ bundle.x.T, qc @ p_key.T]) * (1.0 / math.sqrt(bundle.d_head))
+    experts = np.vstack([bundle.x @ bundle.wv[head], p_value @ bundle.wv[head]])
+    return reference_softmax(scores), scores, experts
+
+
+def reference_trials(n_trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = {"prefix": 0.0, "prompt": 0.0}
+    for _ in range(n_trials):
+        m = attention.EQUIV_HEADS[int(rng.integers(0, len(attention.EQUIV_HEADS)))]
+        d_head = int(rng.integers(1, attention.EQUIV_MAX_DIM // m + 1))
+        dim = m * d_head
+        n = int(rng.integers(1, attention.EQUIV_MAX_TOKENS + 1))
+        bundle = random_bundle(n, dim, m, rng)
+        n_prefix = int(rng.integers(0, attention.EQUIV_MAX_PROMPTS + 1))
+        n_prompt = int(rng.integers(0, attention.EQUIV_MAX_PROMPTS + 1))
+        prefix = PromptSet.prefix(rng.standard_normal((n_prefix, dim)), rng.standard_normal((n_prefix, dim)))
+        prompt = PromptSet.prompt(rng.standard_normal((n_prompt, dim)))
+        for prompts in (prefix, prompt):
+            direct = np.concatenate(list(head_outputs(bundle, prompts)), axis=1) @ bundle.wo
+            heads = [moe_decompose(bundle, prompts, h).reconstruct() for h in range(m)]
+            rebuilt = np.concatenate(heads, axis=1) @ bundle.wo
+            worst[prompts.mode] = max(worst[prompts.mode], float(np.abs(direct - rebuilt).max()))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [20240804, 20240803])
+@pytest.mark.parametrize("n_trials", [0, 1, 2000])
+def test_equivalence_trials_match_the_reference_bit_for_bit(seed, n_trials):
+    report = run_equivalence_trials(n_trials=n_trials, seed=seed, tolerance=1e-9)
+    worst = reference_trials(n_trials, seed)
+    assert report.max_abs_diff_prefix.hex() == worst["prefix"].hex()
+    assert report.max_abs_diff_prompt.hex() == worst["prompt"].hex()
+
+
+def random_cases(rng, count):
+    for _ in range(count):
+        m = int(rng.integers(1, 4))
+        dim = m * int(rng.integers(1, 5))
+        bundle = random_bundle(int(rng.integers(1, 7)), dim, m, rng)
+        n_prefix, n_prompt = rng.integers(0, 4, size=2)
+        yield bundle, PromptSet.prefix(rng.standard_normal((n_prefix, dim)), rng.standard_normal((n_prefix, dim)))
+        yield bundle, PromptSet.prompt(rng.standard_normal((n_prompt, dim)))
+
+
+def test_head_outputs_and_forwards_match_the_reference_bit_for_bit():
+    for bundle, prompts in random_cases(np.random.default_rng(61), 100):
+        heads = reference_head_outputs(bundle, prompts)
+        assert head_outputs(bundle, prompts).tobytes() == heads.tobytes()
+        forward = prefix_forward if prompts.mode == "prefix" else prompt_forward
+        assert forward(bundle, prompts).tobytes() == (np.concatenate(list(heads), axis=1) @ bundle.wo).tobytes()
+
+
+def test_moe_decompose_matches_the_reference_bit_for_bit():
+    for bundle, prompts in random_cases(np.random.default_rng(67), 100):
+        for head in range(bundle.n_heads):
+            dec = moe_decompose(bundle, prompts, head)
+            gates, scores, experts = reference_moe(bundle, prompts, head)
+            assert dec.gates.tobytes() == gates.tobytes()
+            assert dec.scores.tobytes() == scores.tobytes()
+            assert dec.experts.tobytes() == experts.tobytes()
+
+
+def test_a_nan_deviation_fails_the_equivalence_report(monkeypatch):
+    forward = attention._forward
+    calls = []
+
+    def first_nan(*args):
+        calls.append(None)
+        out = forward(*args)
+        return out * np.nan if len(calls) == 1 else out
+
+    monkeypatch.setattr(attention, "_forward", first_nan)
+    report = run_equivalence_trials(n_trials=25, seed=2024, tolerance=1e-9)
+    # the NaN is the first prefix deviation; the 24 finite ones after it must not hide it
+    assert len(calls) == 50
+    assert math.isnan(report.max_abs_diff_prefix)
+    assert 0 < report.max_abs_diff_prompt <= 1e-9
+    assert not report.passed and report.to_dict()["passed"] is False

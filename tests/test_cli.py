@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefixmoe import PretrainedBank, cli, model_to_dict
+from prefixmoe import PretrainedBank, cli, model_to_dict, voronoi
 from prefixmoe._util import to_json
 from prefixmoe.cli import _load_config, main
 from prefixmoe.estimation import FitResult
@@ -605,6 +605,25 @@ def test_witness_table_and_decreasing_ratio(tmp_path):
     table = (out / "witness_table.csv").read_text().splitlines()
     assert table[0] == "n,closed_form,computed,l2,ratio"
     assert len(table) == 4
+
+
+def test_a_nan_witness_loss_fails_with_exit_1(tmp_path, capsys, monkeypatch):
+    loss_d1r = voronoi.loss_d1r
+    calls = []
+
+    def second_nan(fitted, truth, r):
+        # one NaN loss, at the middle sample size, between finite ones
+        calls.append(None)
+        return math.nan if len(calls) == 2 else loss_d1r(fitted, truth, r)
+
+    monkeypatch.setattr(voronoi, "loss_d1r", second_nan)
+    cfg = write_config(tmp_path, "witness.json", witness_config())
+    out = tmp_path / "out"
+    assert main(["witness", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    assert "witness failure: computed loss disagrees with the closed form by nan" in capsys.readouterr().err
+    summary = json.loads((out / "witness_summary.json").read_text())
+    assert math.isnan(summary["rows"][1]["computed"]) and math.isnan(summary["max_abs_disagreement"])
+    assert summary["agreement"] is False
 
 
 def test_witness_ignores_mc_samples_with_a_note(tmp_path, capsys):

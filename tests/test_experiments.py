@@ -116,6 +116,10 @@ def test_witness_validation_errors():
     truth = witness_truth()
     with pytest.raises(UsageError):
         witness_sequence(truth, 0, 1)
+    with pytest.raises(UsageError, match="positive integer"):
+        witness_sequence(truth, 2.5, 1)  # not truncated to index 2
+    with pytest.raises(UsageError):
+        witness_sequence(truth, math.nan, 1)
     with pytest.raises(ConfigurationError):
         witness_sequence(truth, 10, 0)
     with pytest.raises(UsageError):

@@ -292,3 +292,85 @@ def test_r_must_be_a_positive_integer():
         loss_d1r(truth, truth, 0)
     with pytest.raises(ConfigurationError):
         loss_d1r(truth, truth, 1.5)
+
+
+# -----------------------------------------------------------------------
+# reference: the loss before the cells came from one argmin pass and the
+# block distances from the assignment's differences; equal bits required
+
+
+def reference_loss(fitted, truth, power):
+    if isinstance(fitted, NonSharedMeasure):
+        fe, te = (np.hstack([m.p_key, m.p_value]) for m in (fitted, truth))
+    elif isinstance(fitted, LinearSharedMeasure):
+        fe, te = fitted.prompts, truth.prompts
+    else:
+        fe, te = (np.hstack([m.prompts @ m.w1.T, m.prompts @ m.w2.T]) for m in (fitted, truth))
+    diff = fe[:, None, :] - te[None, :, :]
+    nearest = np.sqrt((diff**2).sum(axis=2)).argmin(axis=1)
+    cells = tuple(tuple(int(i) for i in np.flatnonzero(nearest == j)) for j in range(te.shape[0]))
+    fw, tw = fitted.weights, truth.weights
+    total = float(sum(abs(fw[list(cell)].sum() - tw[j]) for j, cell in enumerate(cells)))
+    d = fe.shape[1] // (1 if isinstance(fitted, LinearSharedMeasure) else 2)
+    for j, cell in enumerate(cells):
+        p = power(len(cell))
+        for i in cell:
+            dists = [float(np.linalg.norm(fe[i, k : k + d] - te[j, k : k + d])) for k in range(0, fe.shape[1], d)]
+            total += fw[i] * sum(dist**p for dist in dists)
+    return float(total)
+
+
+def layout_pair(rng, variant, layout):
+    """A fitted/true pair on a grid of halves, so that distances are exact:
+    ``crowded`` puts up to four fitted atoms near one true atom, ``empty``
+    leaves the last true atom's cell empty, and ``tie`` puts fitted atoms
+    exactly halfway between two true atoms, where the lower index wins."""
+    s0 = int(rng.integers(2, 4))
+    d = int(rng.integers(1, 4))
+    width = int(rng.integers(1, 3)) if variant == "neural_shared" else d
+    cols = 2 * width if variant == "non_shared" else width
+    base = rng.integers(-3, 4, size=(s0, cols)).astype(float)
+    if layout == "crowded":
+        picks = np.array([0] * int(rng.integers(2, 5)) + list(rng.integers(0, s0, size=2)))
+        atoms = base[picks] + 0.25 * rng.standard_normal((picks.size, cols))
+    elif layout == "empty":
+        picks = rng.integers(0, s0 - 1, size=int(rng.integers(1, 5)))
+        atoms = base[picks] + 0.25 * rng.standard_normal((picks.size, cols))
+    else:
+        pairs = [rng.choice(s0, size=2, replace=False) for _ in range(int(rng.integers(1, 4)))]
+        atoms = np.array([(base[a] + base[b]) / 2 for a, b in pairs] + [base[0]])
+    true_lw, fitted_lw = rng.normal(size=s0), rng.normal(size=len(atoms))
+    if variant == "non_shared":
+        return (NonSharedMeasure(fitted_lw, atoms[:, :width], atoms[:, width:]),
+                NonSharedMeasure(true_lw, base[:, :width], base[:, width:]))
+    if variant == "linear_shared":
+        return LinearSharedMeasure(fitted_lw, atoms), LinearSharedMeasure(true_lw, base)
+    # integer maps keep the latent embeddings on the grid; a tie needs both sides to share them
+    w1, w2 = rng.integers(-2, 3, size=(2, d, width)).astype(float)
+    fw1, fw2 = (w1, w2) if layout == "tie" else (w1 + 0.1 * rng.standard_normal((2, d, width)))
+    return NeuralSharedMeasure(fw1, fw2, fitted_lw, atoms), NeuralSharedMeasure(w1, w2, true_lw, base)
+
+
+@pytest.mark.parametrize("layout", ["crowded", "empty", "tie"])
+def test_losses_match_the_reference_bit_for_bit(layout):
+    rng = np.random.default_rng(71)
+    tied_power = lambda size: 1 if size == 1 else 2
+    seen = 0
+    for _ in range(150):
+        for r in (1, 2, 3):
+            fitted, truth = layout_pair(rng, "non_shared", layout)
+            assert loss_d1r(fitted, truth, r) == reference_loss(fitted, truth, lambda size: r)
+        fitted, truth = layout_pair(rng, "linear_shared", layout)
+        assert loss_d2(fitted, truth) == reference_loss(fitted, truth, tied_power)
+        assignment = assign_cells(fitted, truth)
+        sizes = [len(cell) for cell in assignment.cells]
+        rows = assignment.distances
+        seen += {
+            "crowded": max(sizes) > 1,
+            "empty": min(sizes) == 0,
+            "tie": any(np.count_nonzero(row == row.min()) > 1 for row in rows),
+        }[layout]
+        fitted, truth = layout_pair(rng, "neural_shared", layout)
+        assert loss_d3(fitted, truth) == reference_loss(fitted, truth, tied_power)
+    # the layout is what the loop exercised, not a rare case
+    assert seen >= 50
